@@ -140,13 +140,15 @@ void BM_OpminSubsetDP(benchmark::State& state) {
   text += "S[x0,x" + std::to_string(n) + "] = sum[";
   for (int i = 1; i < n; ++i) {
     if (i > 1) text += ",";
-    text += "x" + std::to_string(i);
+    text += numbered("x", static_cast<std::uint64_t>(i));
   }
   text += "] ";
   for (int i = 0; i < n; ++i) {
     if (i > 0) text += " * ";
-    text += "W" + std::to_string(i) + "[x" + std::to_string(i) + ",x" +
-            std::to_string(i + 1) + "]";
+    text.append(numbered("W", static_cast<std::uint64_t>(i)))
+        .append(numbered("[x", static_cast<std::uint64_t>(i)))
+        .append(numbered(",x", static_cast<std::uint64_t>(i + 1)))
+        .append("]");
   }
   ParsedProgram p = parse_program(text);
   OpMinInput in = OpMinInput::from_statement(p.statements[0]);

@@ -72,7 +72,7 @@ std::string make_request(std::uint64_t i, unsigned variant,
   return json::ObjectWriter()
       .field("schema", "tce-serve/1")
       .field("op", "plan")
-      .field("id", "q" + std::to_string(seq))
+      .field("id", numbered("q", seq))
       .field("program", make_program(i, variant))
       .field("procs", procs)
       .str();

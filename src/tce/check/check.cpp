@@ -136,22 +136,26 @@ std::uint64_t apply_suppressions(const internal::Tree& tree,
 
 std::string CheckReport::str() const {
   std::string out;
+  // Appended piece by piece: GCC 12's -O3 -Wrestrict misfires on
+  // chained operator+ over temporaries.
   for (const Finding& f : findings) {
-    out += (f.severity == Severity::kError) ? "error " : "warning ";
-    out += f.file;
-    if (f.line > 0) out += ":" + std::to_string(f.line);
-    out += " rule=" + f.rule + ": " + f.message + "\n";
+    out.append(f.severity == Severity::kError ? "error " : "warning ");
+    out.append(f.file);
+    if (f.line > 0) out.append(":").append(std::to_string(f.line));
+    out.append(" rule=").append(f.rule).append(": ").append(f.message);
+    out.append("\n");
   }
   std::uint64_t errors = 0;
   for (const Finding& f : findings) {
     if (f.severity == Severity::kError) ++errors;
   }
-  out += "tce-check: " + std::to_string(errors) + " error(s), " +
-         std::to_string(findings.size() - errors) + " warning(s), " +
-         std::to_string(suppressed) + " suppressed; scanned " +
-         std::to_string(files_scanned) + " source file(s), " +
-         std::to_string(docs_scanned) + " doc(s), " +
-         std::to_string(rules_checked) + " rule evaluation(s)\n";
+  out.append("tce-check: ").append(std::to_string(errors));
+  out.append(" error(s), ").append(std::to_string(findings.size() - errors));
+  out.append(" warning(s), ").append(std::to_string(suppressed));
+  out.append(" suppressed; scanned ").append(std::to_string(files_scanned));
+  out.append(" source file(s), ").append(std::to_string(docs_scanned));
+  out.append(" doc(s), ").append(std::to_string(rules_checked));
+  out.append(" rule evaluation(s)\n");
   return out;
 }
 

@@ -166,7 +166,7 @@ std::vector<Item> ids_in_dir(const Tree& tree, std::string_view dir,
 }
 
 /// Metric names: first-argument string literals of `obs::count(`,
-/// `obs::gauge(`, `obs::observe(` calls.  Dynamically composed names
+/// `obs::gauge(`, `obs::observe(`, `obs::observe_many(` calls.  Dynamically composed names
 /// (`"verify.rule." + id`) are skipped: the literal is not a dotted id
 /// and the following token is not ',' or ')'.
 std::vector<Item> metric_ids(const Tree& tree) {
@@ -180,7 +180,8 @@ std::vector<Item> metric_ids(const Tree& tree) {
       if (!(ts[i + 2].kind == Tok::kPunct && ts[i + 2].text == ":")) continue;
       const Token& fn = ts[i + 3];
       if (fn.kind != Tok::kIdent ||
-          (fn.text != "count" && fn.text != "gauge" && fn.text != "observe")) {
+          (fn.text != "count" && fn.text != "gauge" && fn.text != "observe" &&
+           fn.text != "observe_many")) {
         continue;
       }
       if (!(ts[i + 4].kind == Tok::kPunct && ts[i + 4].text == "(")) continue;

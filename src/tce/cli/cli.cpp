@@ -6,6 +6,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "tce/codegen/codegen.hpp"
 #include "tce/common/assert.hpp"
@@ -170,7 +171,8 @@ usage:
         --no-shrink          report failures without minimizing them
 
   tcemin help
-      Show this text.
+      Show this text.  `tcemin <command> --help` (or -h) shows just
+      that command's section.
 
 exit codes:
     0  success
@@ -210,6 +212,31 @@ Program files use the DSL:
     index i = 32
     T[a,b] = sum[i] X[a,i] * Y[i,b]
 )";
+
+/// The usage section of one subcommand, cut from kUsage so there is a
+/// single text to keep current; empty when \p cmd has no section.
+std::string subcommand_usage(const std::string& cmd) {
+  const std::string_view usage = kUsage;
+  const std::string head = "\n  tcemin " + cmd;
+  for (std::size_t at = usage.find(head); at != std::string_view::npos;
+       at = usage.find(head, at + 1)) {
+    const char next = usage[at + head.size()];
+    if (next != ' ' && next != '\n') continue;  // a longer command name
+    const std::size_t end = usage.find("\n\n", at + 1);
+    return "usage:" + std::string(usage.substr(at, end - at)) +
+           "\n\nRun 'tcemin help' for every command, the exit codes and "
+           "the environment.\n";
+  }
+  return {};
+}
+
+/// True when the arguments after the subcommand ask for its help.
+bool wants_help(const std::vector<std::string>& args) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    if (args[i] == "--help" || args[i] == "-h") return true;
+  }
+  return false;
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -874,6 +901,10 @@ CliResult run_cli(const std::vector<std::string>& args) {
       return finish_cli(std::move(result));
     }
     const std::string cmd = args[0];
+    if (wants_help(args)) {
+      result.output = subcommand_usage(cmd);
+      if (!result.output.empty()) return finish_cli(std::move(result));
+    }
     // Validate TCE_KERNEL / TCE_TILE_* / TCE_KERNEL_THREADS up front so
     // a malformed environment fails loudly on every subcommand, not
     // only on the ones that happen to execute a kernel.

@@ -53,6 +53,11 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  return out.append(std::to_string(n));
+}
+
 std::string fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, v);

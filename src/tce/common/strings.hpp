@@ -3,6 +3,7 @@
 /// Small string utilities shared by the DSL parser, the characterization
 /// file reader and the report printers.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,5 +30,10 @@ std::string join(const std::vector<std::string>& parts,
 
 /// printf-style double formatting with a fixed number of decimals.
 std::string fixed(double v, int decimals);
+
+/// \p prefix followed by the decimal digits of \p n, e.g. "x3".  Built
+/// by appending: GCC 12's -O3 -Wrestrict misfires on the equivalent
+/// `"x" + std::to_string(n)` (operator+(const char*, std::string&&)).
+std::string numbered(std::string_view prefix, std::uint64_t n);
 
 }  // namespace tce

@@ -20,10 +20,10 @@ std::vector<std::uint64_t> default_sizes() {
 }
 
 /// One full rotation along \p dim: edge synchronized steps, every rank
-/// sending its whole block to its ring neighbor.
+/// sending its whole block to its ring neighbor.  The steps are
+/// identical, so one is simulated and its cost summed edge times.
 double measure_rotation(const Network& net, const ProcGrid& grid, int dim,
                         std::uint64_t block_bytes) {
-  std::vector<Phase> phases;
   Phase step;
   for (std::uint32_t z1 = 0; z1 < grid.edge; ++z1) {
     for (std::uint32_t z2 = 0; z2 < grid.edge; ++z2) {
@@ -34,8 +34,7 @@ double measure_rotation(const Network& net, const ProcGrid& grid, int dim,
       step.flows.push_back({src, dst, block_bytes});
     }
   }
-  phases.assign(grid.edge, step);
-  return net.run_phases(phases).comm_s;
+  return net.run_repeated(step, grid.edge).comm_s;
 }
 
 /// Row-scatter redistribution: each rank splits its block equally among
@@ -58,55 +57,42 @@ double measure_redistribute(const Network& net, const ProcGrid& grid,
 
 /// Allgather of an array of \p total_bytes block-distributed over all P
 /// ranks: recursive doubling when P is a power of two (log2 P exchange
-/// phases with doubling payloads), ring otherwise (P−1 shift phases).
+/// phases with doubling payloads), ring otherwise (P−1 identical shift
+/// phases, simulated once).
 double measure_allgather(const Network& net, const ProcGrid& grid,
                          std::uint64_t total_bytes) {
   const std::uint32_t p = grid.procs;
   const std::uint64_t block = std::max<std::uint64_t>(total_bytes / p, 1);
-  std::vector<Phase> phases;
-  if ((p & (p - 1)) == 0) {
-    for (std::uint32_t dist = 1; dist < p; dist *= 2) {
-      Phase phase;
-      for (std::uint32_t r = 0; r < p; ++r) {
-        phase.flows.push_back({r, r ^ dist, checked_mul(block, dist)});
-      }
-      phases.push_back(std::move(phase));
-    }
-  } else {
+  if ((p & (p - 1)) != 0) {
     Phase step;
     for (std::uint32_t r = 0; r < p; ++r) {
       step.flows.push_back({r, (r + 1) % p, block});
     }
-    phases.assign(p - 1, step);
+    return net.run_repeated(step, p - 1).comm_s;
+  }
+  std::vector<Phase> phases;
+  for (std::uint32_t dist = 1; dist < p; dist *= 2) {
+    Phase phase;
+    for (std::uint32_t r = 0; r < p; ++r) {
+      phase.flows.push_back({r, r ^ dist, checked_mul(block, dist)});
+    }
+    phases.push_back(std::move(phase));
   }
   return net.run_phases(phases).comm_s;
 }
 
 /// Reduce-scatter within each grid line along \p dim: butterfly with
 /// halving payloads over the √P ranks of a line (√P is a power of two
-/// for the machines we simulate; a ring fallback covers the rest).
+/// for the machines we simulate; a ring fallback of √P−1 identical
+/// steps, simulated once, covers the rest).
 double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
                               int dim, std::uint64_t partial_bytes) {
   const std::uint32_t e = grid.edge;
-  std::vector<Phase> phases;
+  if (e == 1) return 1e-9;  // single-rank line: no communication
   auto rank_in_line = [&](std::uint32_t line, std::uint32_t pos) {
     return dim == 1 ? grid.rank(pos, line) : grid.rank(line, pos);
   };
-  if ((e & (e - 1)) == 0 && e > 1) {
-    std::uint64_t payload = partial_bytes / 2;
-    for (std::uint32_t dist = e / 2; dist >= 1; dist /= 2) {
-      Phase phase;
-      for (std::uint32_t line = 0; line < e; ++line) {
-        for (std::uint32_t pos = 0; pos < e; ++pos) {
-          phase.flows.push_back({rank_in_line(line, pos),
-                                 rank_in_line(line, pos ^ dist),
-                                 std::max<std::uint64_t>(payload, 1)});
-        }
-      }
-      phases.push_back(std::move(phase));
-      payload /= 2;
-    }
-  } else if (e > 1) {
+  if ((e & (e - 1)) != 0) {
     Phase step;
     const std::uint64_t chunk =
         std::max<std::uint64_t>(partial_bytes / e, 1);
@@ -116,9 +102,22 @@ double measure_reduce_scatter(const Network& net, const ProcGrid& grid,
                               rank_in_line(line, (pos + 1) % e), chunk});
       }
     }
-    phases.assign(e - 1, step);
+    return net.run_repeated(step, e - 1).comm_s;
   }
-  if (phases.empty()) return 1e-9;  // single-rank line: no communication
+  std::vector<Phase> phases;
+  std::uint64_t payload = partial_bytes / 2;
+  for (std::uint32_t dist = e / 2; dist >= 1; dist /= 2) {
+    Phase phase;
+    for (std::uint32_t line = 0; line < e; ++line) {
+      for (std::uint32_t pos = 0; pos < e; ++pos) {
+        phase.flows.push_back({rank_in_line(line, pos),
+                               rank_in_line(line, pos ^ dist),
+                               std::max<std::uint64_t>(payload, 1)});
+      }
+    }
+    phases.push_back(std::move(phase));
+    payload /= 2;
+  }
   return net.run_phases(phases).comm_s;
 }
 

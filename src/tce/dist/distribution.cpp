@@ -1,12 +1,18 @@
 #include "tce/dist/distribution.hpp"
 
+#include <string_view>
+
 namespace tce {
 
 std::string Distribution::str(const IndexSpace& space) const {
-  auto pos = [&](IndexId id) -> std::string {
-    return id == kNoIndex ? "·" : space.name(id);
+  // Appended piecewise: GCC 12's -O3 -Wrestrict misfires on the chained
+  // operator+ of short literals.
+  auto pos = [&](IndexId id) -> std::string_view {
+    return id == kNoIndex ? std::string_view("·") : space.name(id);
   };
-  return "<" + pos(d1_) + "," + pos(d2_) + ">";
+  std::string out;
+  out.append("<").append(pos(d1_)).append(",").append(pos(d2_)).append(">");
+  return out;
 }
 
 std::uint64_t dist_range(IndexId i, const Distribution& alpha,

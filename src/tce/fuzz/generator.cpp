@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tce/common/assert.hpp"
+#include "tce/common/strings.hpp"
 #include "tce/expr/parser.hpp"
 
 namespace tce::fuzz {
@@ -56,8 +57,8 @@ struct Gen {
     return v;
   }
 
-  std::string new_input() { return "X" + std::to_string(inputs++); }
-  std::string new_temp() { return "T" + std::to_string(++temps); }
+  std::string new_input() { return numbered("X", inputs++); }
+  std::string new_temp() { return numbered("T", ++temps); }
 
   std::vector<std::string> concat(std::vector<std::string> a,
                                   const std::vector<std::string>& b) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tce/common/parse.hpp"
+#include "tce/common/strings.hpp"
 
 namespace tce::fuzz {
 
@@ -138,8 +139,8 @@ std::string fresh_input_name(const FuzzInstance& inst) {
       }
     }
   }
-  while (used.contains("X" + std::to_string(next))) ++next;
-  return "X" + std::to_string(next);
+  while (used.contains(numbered("X", next))) ++next;
+  return numbered("X", next);
 }
 
 FuzzInstance shrink_instance(

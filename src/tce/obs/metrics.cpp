@@ -46,14 +46,16 @@ struct Hist {
     return idx % kStripes;
   }
 
-  void observe(double value) noexcept {
+  void observe(std::span<const double> values) noexcept {
     Stripe& s = stripes[stripe_of_thread()];
     const MutexLock lock(s.mu);
-    if (s.count == 0 || value < s.min) s.min = value;
-    if (s.count == 0 || value > s.max) s.max = value;
-    ++s.count;
-    s.sum += value;
-    ++s.buckets[static_cast<std::size_t>(Metric::bucket_index(value))];
+    for (const double value : values) {
+      if (s.count == 0 || value < s.min) s.min = value;
+      if (s.count == 0 || value > s.max) s.max = value;
+      ++s.count;
+      s.sum += value;
+      ++s.buckets[static_cast<std::size_t>(Metric::bucket_index(value))];
+    }
   }
 
   /// Exact-count merge of every stripe into \p m.
@@ -187,7 +189,12 @@ void gauge(std::string_view name, double value) noexcept {
 }
 
 void observe(std::string_view name, double value) noexcept {
-  if (!metrics_enabled()) return;
+  observe_many(name, std::span<const double>(&value, 1));
+}
+
+void observe_many(std::string_view name,
+                  std::span<const double> values) noexcept {
+  if (!metrics_enabled() || values.empty()) return;
   Shard& s = registry().shard(name);
   Hist* h = nullptr;
   {
@@ -201,7 +208,7 @@ void observe(std::string_view name, double value) noexcept {
     if (!e.hist) e.hist = std::make_unique<Hist>();
     h = e.hist.get();
   }
-  h->observe(value);
+  h->observe(values);
 }
 
 std::map<std::string, Metric> metrics_snapshot() {

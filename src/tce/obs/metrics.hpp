@@ -35,6 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -60,6 +61,12 @@ void gauge(std::string_view name, double value) noexcept;
 
 /// Records one observation into the histogram \p name.
 void observe(std::string_view name, double value) noexcept;
+
+/// Records \p values into the histogram \p name, in order — the same
+/// samples, sum and buckets as one observe() per value, for one name
+/// lookup and one lock.
+void observe_many(std::string_view name,
+                  std::span<const double> values) noexcept;
 
 /// One recorded metric.  `kind` discriminates which fields are
 /// meaningful: counters use `total`, gauges `last`, histograms

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <string>
 
 #include "tce/common/json.hpp"
@@ -52,33 +54,36 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     capacities.push_back(spec_.bisection_bw);
   }
 
-  // Active flow bookkeeping.  Zero-byte and self-referential flows finish
-  // at latency; others enter the fluid simulation.
-  struct Active {
-    std::size_t id;  // index into `flows`
-    double remaining;
-    ResourcePath path;
-  };
-  std::vector<Active> active;
+  // Flows that enter the fluid simulation, numbered k in start order:
+  // path k in `paths`, its index into `flows` and its bytes left.
+  // Zero-byte flows finish at latency and never enter.  `active` lists
+  // the undrained k in order and is compacted in place each round.
+  PathTable paths;
+  paths.reserve(flows.size(), 3 * flows.size());
+  std::vector<std::uint32_t> flow_of;
+  std::vector<double> left;
+  flow_of.reserve(flows.size());
+  left.reserve(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     TCE_EXPECTS(flows[f].src < procs && flows[f].dst < procs);
     if (flows[f].bytes == 0) {
       result.finish_s[f] = spec_.latency_s;
       continue;
     }
-    Active a;
-    a.id = f;
-    a.remaining = static_cast<double>(flows[f].bytes);
     const std::uint32_t sn = spec_.node_of(flows[f].src);
     const std::uint32_t dn = spec_.node_of(flows[f].dst);
     if (sn == dn) {
-      a.path = {2 * n + sn};
+      paths.add({2 * n + sn});
+    } else if (spec_.bisection_bw > 0) {
+      paths.add({sn, n + dn, bisection_id});
     } else {
-      a.path = {sn, n + dn};
-      if (spec_.bisection_bw > 0) a.path.push_back(bisection_id);
+      paths.add({sn, n + dn});
     }
-    active.push_back(std::move(a));
+    flow_of.push_back(static_cast<std::uint32_t>(f));
+    left.push_back(static_cast<double>(flows[f].bytes));
   }
+  std::vector<std::uint32_t> active(paths.size());
+  std::iota(active.begin(), active.end(), 0u);
 
   // Tracing: per-flow first-round fair rate (the allocated bandwidth
   // while all flows contend) and bottleneck link — the most loaded
@@ -90,17 +95,18 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     first_rate.assign(flows.size(), 0.0);
     bottleneck.assign(flows.size(), std::string());
     std::vector<double> load(capacities.size(), 0.0);
-    for (const auto& a : active) {
-      for (std::uint32_t r : a.path) load[r] += 1.0;
+    for (const std::uint32_t k : active) {
+      for (std::uint32_t r : paths[k]) load[r] += 1.0;
     }
-    for (const auto& a : active) {
-      std::size_t worst = a.path[0];
-      for (std::uint32_t r : a.path) {
+    for (const std::uint32_t k : active) {
+      const auto path = paths[k];
+      std::size_t worst = path[0];
+      for (std::uint32_t r : path) {
         if (load[r] / capacities[r] > load[worst] / capacities[worst]) {
           worst = r;
         }
       }
-      bottleneck[a.id] = resource_name(worst, n);
+      bottleneck[flow_of[k]] = resource_name(worst, n);
     }
   }
 
@@ -118,16 +124,16 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     busy_stamp.assign(capacities.size(), 0);
   }
 
+  MaxMinSolver solver;
+  std::vector<double> rate_buf(active.size());
   double now = 0.0;
   bool first_round = true;
   while (!active.empty()) {
-    std::vector<ResourcePath> paths;
-    paths.reserve(active.size());
-    for (const auto& a : active) paths.push_back(a.path);
-    const std::vector<double> rates = maxmin_fair_rates(paths, capacities);
+    const std::span<double> rates(rate_buf.data(), active.size());
+    solver.solve(paths, active, capacities, rates);
     if (tracing && first_round) {
       for (std::size_t i = 0; i < active.size(); ++i) {
-        first_rate[active[i].id] = rates[i];
+        first_rate[flow_of[active[i]]] = rates[i];
       }
       first_round = false;
     }
@@ -135,14 +141,14 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     // Time until the earliest active flow drains.
     double dt = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < active.size(); ++i) {
-      dt = std::min(dt, active[i].remaining / rates[i]);
+      dt = std::min(dt, left[active[i]] / rates[i]);
     }
     TCE_ENSURES(dt > 0 && dt < std::numeric_limits<double>::infinity());
     now += dt;
     if (metrics) {
       ++round;
-      for (const auto& a : active) {
-        for (std::uint32_t r : a.path) {
+      for (const std::uint32_t k : active) {
+        for (std::uint32_t r : paths[k]) {
           if (busy_stamp[r] != round) {
             busy_stamp[r] = round;
             busy[r] += dt;
@@ -151,18 +157,18 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
       }
     }
 
-    std::vector<Active> still;
-    still.reserve(active.size());
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < active.size(); ++i) {
-      const double left = active[i].remaining - rates[i] * dt;
-      if (left <= 1e-6) {  // bytes; sub-byte residue counts as done
-        result.finish_s[active[i].id] = spec_.latency_s + now;
+      const std::uint32_t k = active[i];
+      const double rest = left[k] - rates[i] * dt;
+      if (rest <= 1e-6) {  // bytes; sub-byte residue counts as done
+        result.finish_s[flow_of[k]] = spec_.latency_s + now;
       } else {
-        active[i].remaining = left;
-        still.push_back(std::move(active[i]));
+        left[k] = rest;
+        active[kept++] = k;
       }
     }
-    active = std::move(still);
+    active.resize(kept);
   }
 
   for (double f : result.finish_s) {
@@ -174,9 +180,9 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
     for (const Flow& f : flows) bytes += f.bytes;
     obs::count("simnet.flows", flows.size());
     obs::count("simnet.bytes", bytes);
-    for (const double b : busy) {
-      if (b > 0) obs::observe("simnet.link_busy_s", b);
-    }
+    // One registry lookup for all of this run's busy links.
+    std::erase_if(busy, [](double b) { return !(b > 0); });
+    obs::observe_many("simnet.link_busy_s", busy);
   }
   if (tracing && !flows.empty()) {
     const double base = obs::sim_now_s();
@@ -202,6 +208,23 @@ Network::RunResult Network::run_flows(const std::vector<Flow>& flows) const {
 }
 
 PhaseResult Network::run_phase(const Phase& phase) const {
+  return simulate_phase(phase, 1);
+}
+
+PhaseResult Network::run_repeated(const Phase& phase,
+                                  std::uint32_t steps) const {
+  PhaseResult total;
+  if (steps == 0) return total;
+  const PhaseResult r = simulate_phase(phase, steps);
+  for (std::uint32_t s = 0; s < steps; ++s) {
+    total.comm_s += r.comm_s;
+    total.compute_s += r.compute_s;
+  }
+  return total;
+}
+
+PhaseResult Network::simulate_phase(const Phase& phase,
+                                    std::uint32_t steps) const {
   PhaseResult r;
   for (const auto& c : phase.compute) {
     TCE_EXPECTS(c.rank < spec_.procs());
@@ -211,6 +234,8 @@ PhaseResult Network::run_phase(const Phase& phase) const {
   // Trace layout: ranks compute, then the flows are exchanged, so
   // compute occupies [base, base+compute) on the simulated clock and
   // the flows (emitted by run_flows at the advanced cursor) follow.
+  // Repeated steps are drawn once; the clock still advances step by
+  // step, exactly as for that many separate phases.
   const bool tracing = obs::trace_enabled();
   const double base = tracing ? obs::sim_now_s() : 0.0;
   if (tracing) {
@@ -222,15 +247,19 @@ PhaseResult Network::run_phase(const Phase& phase) const {
   }
   r.comm_s = run_flows(phase.flows).makespan_s;
   if (tracing) {
-    obs::sim_advance(r.comm_s);
-    obs::trace_sim_complete(
-        phase.label.empty() ? "phase" : phase.label, "simnet", kPhaseTid,
-        base, r.total_s(),
-        json::ObjectWriter()
-            .field("flows", phase.flows.size())
-            .field("comm_s", r.comm_s)
-            .field("compute_s", r.compute_s)
-            .str());
+    double dur_s = 0.0;
+    for (std::uint32_t s = 0; s < steps; ++s) {
+      if (s > 0) obs::sim_advance(r.compute_s);
+      obs::sim_advance(r.comm_s);
+      dur_s += r.total_s();
+    }
+    json::ObjectWriter args;
+    args.field("flows", phase.flows.size())
+        .field("comm_s", r.comm_s)
+        .field("compute_s", r.compute_s);
+    if (steps > 1) args.field("steps", steps);
+    obs::trace_sim_complete(phase.label.empty() ? "phase" : phase.label,
+                            "simnet", kPhaseTid, base, dur_s, args.str());
   }
   obs::count("simnet.phases");
   return r;

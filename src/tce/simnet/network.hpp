@@ -71,10 +71,21 @@ class Network {
   /// Runs one synchronized phase (see file comment).
   PhaseResult run_phase(const Phase& phase) const;
 
+  /// Runs \p steps back-to-back copies of \p phase and sums their
+  /// costs, bit-identically to run_phases over that many copies, but
+  /// simulates the phase once: its cost depends on nothing but the
+  /// phase and the spec.  The trace draws one phase slice spanning all
+  /// steps (args carry `steps` when > 1); `simnet.phases`,
+  /// `simnet.flows` and `simnet.bytes` count the one simulated step.
+  PhaseResult run_repeated(const Phase& phase, std::uint32_t steps) const;
+
   /// Runs a sequence of phases, summing their costs.
   PhaseResult run_phases(const std::vector<Phase>& phases) const;
 
  private:
+  /// One step of \p phase, traced as \p steps repeats of it.
+  PhaseResult simulate_phase(const Phase& phase, std::uint32_t steps) const;
+
   ClusterSpec spec_;
 };
 

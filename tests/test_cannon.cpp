@@ -152,8 +152,11 @@ TEST_F(CannonFixture, RejectsNonDividingExtents) {
 
 // Parameterized sweep over random contraction shapes and grids: the
 // executor must agree with the reference evaluator everywhere.
+// Both fields are 64-bit so the struct has no padding: gtest names each
+// case by the bytes of its parameter, and padding bytes would carry
+// whatever the stack held, changing the names from run to run.
 struct SweepCase {
-  std::uint32_t procs;
+  std::uint64_t procs;
   std::uint64_t seed;
 };
 
@@ -162,10 +165,11 @@ class CannonSweep : public ::testing::TestWithParam<SweepCase> {};
 TEST_P(CannonSweep, RandomShapesMatchReference) {
   const SweepCase param = GetParam();
   Rng rng(param.seed);
-  const ProcGrid grid = ProcGrid::make(param.procs, 1);
-  ClusterSpec spec = ClusterSpec::itanium2003(param.procs);
+  const auto procs = static_cast<std::uint32_t>(param.procs);
+  const ProcGrid grid = ProcGrid::make(procs, 1);
+  ClusterSpec spec = ClusterSpec::itanium2003(procs);
   spec.procs_per_node = 1;
-  spec.nodes = param.procs;
+  spec.nodes = procs;
   Network net(spec);
 
   // Random contraction: ranks 2-3 per operand, extents multiples of edge.

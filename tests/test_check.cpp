@@ -369,6 +369,22 @@ TEST(CheckRegistry, MetricDriftIsCaughtBothWays) {
   EXPECT_TRUE(has(r, "check.registry.unknown-doc", "docs/OBSERVABILITY.md"));
 }
 
+TEST(CheckRegistry, ObserveManyNamesAreMetrics) {
+  TempTree t("reg_metric_many");
+  t.stub_registry_docs();
+  t.file("src/tce/obs/m.cpp",
+         "void f(std::span<const double> v) {\n"
+         "  tce::obs::observe_many(\"fixture.batch\", v);\n"
+         "}\n");
+  t.file("docs/OBSERVABILITY.md",
+         "| metric | kind | meaning |\n"
+         "|---|---|---|\n");
+  t.file("tests/test_fixture.cpp", "// fixture.batch\n");
+  const CheckReport r = t.run();
+  EXPECT_TRUE(has(r, "check.registry.undocumented", "src/tce/obs/m.cpp"))
+      << r.str();
+}
+
 TEST(CheckRegistry, SchemaStringsAreCheckedAgainstFormatsDoc) {
   TempTree t("reg_schema");
   t.stub_registry_docs();

@@ -60,6 +60,36 @@ TEST(Cli, HelpPrintsUsage) {
   }
 }
 
+TEST(Cli, SubcommandHelpPrintsThatSubcommandsUsage) {
+  const std::vector<std::string> commands = {
+      "plan", "lint", "opmin", "validate", "characterize", "serve", "fuzz"};
+  for (const std::string& cmd : commands) {
+    for (const char* flag : {"--help", "-h"}) {
+      CliResult r = run_cli({cmd, flag});
+      EXPECT_EQ(r.exit_code, 0) << cmd << " " << flag;
+      EXPECT_TRUE(r.error.empty()) << cmd << ": " << r.error;
+      EXPECT_EQ(r.output.rfind("usage:\n  tcemin " + cmd + " ", 0), 0u)
+          << r.output;
+      // Only this command's section, not its neighbours'.
+      for (const std::string& other : commands) {
+        if (other == cmd) continue;
+        EXPECT_EQ(r.output.find("  tcemin " + other + " "), std::string::npos)
+            << cmd << " help mentions " << other;
+      }
+    }
+  }
+  EXPECT_NE(run_cli({"plan", "--help"}).output.find("--mem-limit SIZE"),
+            std::string::npos);
+  EXPECT_NE(run_cli({"fuzz", "--help"}).output.find("--oracle NAME"),
+            std::string::npos);
+  // --help wins wherever it appears, even next to a missing file.
+  CliResult r = run_cli({"plan", "/nonexistent/prog.tce", "--help"});
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("tcemin plan"), std::string::npos);
+  // An unknown command stays a usage error.
+  EXPECT_EQ(run_cli({"bogus", "--help"}).exit_code, kExitUsage);
+}
+
 TEST(Cli, UnknownCommandFails) {
   CliResult r = run_cli({"frobnicate"});
   EXPECT_EQ(r.exit_code, 1);

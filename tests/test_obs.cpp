@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "tce/common/json.hpp"
+#include "tce/common/strings.hpp"
 #include "tce/core/optimizer.hpp"
 #include "tce/costmodel/analytic.hpp"
 #include "tce/expr/parser.hpp"
@@ -118,6 +119,22 @@ TEST_F(MetricsTest, HistogramTracksCountSumMinMax) {
   EXPECT_DOUBLE_EQ(m.sum, 6.0);
   EXPECT_DOUBLE_EQ(m.min, 1.0);
   EXPECT_DOUBLE_EQ(m.max, 3.0);
+}
+
+TEST_F(MetricsTest, ObserveManyEqualsOneObservePerValue) {
+  const std::vector<double> values = {0.1, 3e-7, 2.5, 0.1, 1e12, 7.0 / 3};
+  for (double v : values) obs::observe("t.one", v);
+  obs::observe_many("t.many", values);
+  obs::observe_many("t.empty", {});
+  const auto snap = obs::metrics_snapshot();
+  const obs::Metric& one = snap.at("t.one");
+  const obs::Metric& many = snap.at("t.many");
+  EXPECT_EQ(many.count, one.count);
+  EXPECT_EQ(many.sum, one.sum);  // same additions in the same order
+  EXPECT_EQ(many.min, one.min);
+  EXPECT_EQ(many.max, one.max);
+  EXPECT_EQ(many.buckets, one.buckets);
+  EXPECT_FALSE(snap.contains("t.empty")) << "no values, no histogram";
 }
 
 TEST_F(MetricsTest, DisabledRegistryRecordsNothing) {
@@ -408,7 +425,7 @@ TEST(Log, FlightRecorderKeepsTheLastEventsOldestFirst) {
       << "the recorder captures every level";
   for (int i = 0; i < 100; ++i) {
     obs::log_event(obs::LogLevel::kInfo, "test",
-                   "e" + std::to_string(i));
+                   numbered("e", static_cast<std::uint64_t>(i)));
   }
   const std::string dump = obs::flight_recorder_dump();
   obs::flight_recorder_enable(false);
@@ -448,6 +465,7 @@ TEST(ObsNoop, DisabledInstrumentationDoesNotAllocate) {
     obs::count("noop.counter", 3);
     obs::gauge("noop.gauge", i);
     obs::observe("noop.hist", i);
+    obs::observe_many("noop.hist", std::span<const double>());
     obs::log_event(obs::LogLevel::kError, "noop", "event");
     obs::trace_instant("noop", "test");
     obs::trace_sim_complete("noop", "test", 1, 0.0, 1.0);
@@ -612,6 +630,43 @@ TEST(Trace, SimnetEmitsPhaseAndFlowEvents) {
   }
   EXPECT_TRUE(saw_phase);
   EXPECT_TRUE(saw_compute);
+  EXPECT_EQ(flows, 2);
+}
+
+// A repeated phase is simulated and drawn once, but the simulated clock
+// moves exactly as far as for that many separate phases.
+TEST(Trace, RepeatedPhaseIsOneSliceOverEveryStep) {
+  Network net(ClusterSpec::itanium2003(2));
+  Phase phase;
+  phase.label = "ring step";
+  phase.compute.push_back({0, 3'000'000});
+  phase.flows.push_back({0, 1, 1'000'000});
+  phase.flows.push_back({1, 2, 3'000'000});
+
+  obs::trace_start(temp_path("obs_trace_steps_ref.json"));
+  net.run_phases(std::vector<Phase>(5, phase));
+  const double want_clock = obs::sim_now_s();
+  obs::trace_stop();
+
+  obs::trace_start(temp_path("obs_trace_steps.json"));
+  const PhaseResult r = net.run_repeated(phase, 5);
+  EXPECT_EQ(obs::sim_now_s(), want_clock);
+  const json::Value doc = json::parse(obs::trace_json());
+  obs::trace_stop();
+
+  int slices = 0, flows = 0;
+  for (const json::Value& e : doc.at("traceEvents").array) {
+    if (e.at("ph").string == "M") continue;
+    const std::string& name = e.at("name").string;
+    if (name == "ring step") {
+      ++slices;
+      EXPECT_EQ(e.at("args").at("steps").integer, 5u);
+      EXPECT_EQ(e.at("args").at("flows").integer, 2u);
+      EXPECT_NEAR(e.at("dur").number, r.total_s() * 1e6, 1.0);
+    }
+    if (name.rfind("flow ", 0) == 0) ++flows;
+  }
+  EXPECT_EQ(slices, 1);
   EXPECT_EQ(flows, 2);
 }
 

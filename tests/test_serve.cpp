@@ -22,6 +22,7 @@
 #endif
 
 #include "tce/common/json.hpp"
+#include "tce/common/strings.hpp"
 #include "tce/costmodel/characterize.hpp"
 #include "tce/expr/parser.hpp"
 #include "tce/obs/metrics.hpp"
@@ -408,9 +409,9 @@ TEST(ServeServer, ConcurrentHitMissStormRepliesAreByteIdentical) {
   // (problem, spelling) must be byte-identical no matter which thread
   // won the search and which ones hit the cache.
   const auto spelling = [](int problem, int t) {
-    const std::string ix = "x" + std::to_string(t);
-    const std::string iy = "y" + std::to_string(t);
-    const std::string ik = "k" + std::to_string(t);
+    const std::string ix = numbered("x", static_cast<std::uint64_t>(t));
+    const std::string iy = numbered("y", static_cast<std::uint64_t>(t));
+    const std::string ik = numbered("k", static_cast<std::uint64_t>(t));
     const std::string extent = problem == 0 ? "64" : "96";
     return "index " + ix + ", " + iy + " = " + extent + "\nindex " + ik +
            " = 16\nR" + std::to_string(t) + "[" + ix + "," + iy +
@@ -452,7 +453,8 @@ TEST(ServePlanCache, ConcurrentGetPutIsRaceFree) {
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
-        const std::string key = "k" + std::to_string((t + i) % 12);
+        const std::string key =
+            numbered("k", static_cast<std::uint64_t>((t + i) % 12));
         if (cache.get(key).has_value()) {
           found.fetch_add(1, std::memory_order_relaxed);
         } else {
