@@ -8,8 +8,10 @@
 #include "tce/obs/log.hpp"
 #include "tce/obs/metrics.hpp"
 #include "tce/obs/trace.hpp"
+#include "tce/tensor/box.hpp"
 #include "tce/tensor/kernel.hpp"
 #include "tce/tensor/matmul.hpp"
+#include "tce/tensor/ttgt.hpp"
 
 namespace tce {
 
@@ -34,55 +36,78 @@ namespace {
   throw Error(what);
 }
 
-/// Per-dimension block coordinate assignment: index -> block coordinate,
-/// where the index's extent is split `edge` ways.
-struct SplitSpec {
-  IndexId index;
-  std::uint32_t block;  // in [0, edge)
-};
-
-/// Block range of \p ref where the dims named in \p splits take the given
-/// block, all other dims whole.
-BlockRange range_for(const TensorRef& ref, const IndexSpace& space,
-                     std::uint32_t edge,
-                     const std::vector<SplitSpec>& splits) {
-  BlockRange r;
-  for (IndexId d : ref.dims) {
-    const std::uint64_t n = space.extent(d);
-    const SplitSpec* split = nullptr;
-    for (const auto& s : splits) {
-      if (s.index == d) split = &s;
-    }
-    if (split == nullptr) {
-      r.lo.push_back(0);
-      r.hi.push_back(n);
-    } else {
-      if (n % edge != 0) {
-        fail_executor("run_cannon: extent of index '" + space.name(d) +
-                      "' (" + std::to_string(n) +
-                      ") must divide the grid edge " +
-                      std::to_string(edge));
-      }
-      const std::uint64_t chunk = n / edge;
-      r.lo.push_back(split->block * chunk);
-      r.hi.push_back((split->block + 1) * chunk);
-    }
+/// Extent of index \p d split `e` ways (the block length along it);
+/// fails unless the grid edge divides it.
+std::uint64_t split_len(const IndexSpace& space, IndexId d, std::uint32_t e) {
+  const std::uint64_t n = space.extent(d);
+  if (n % e != 0) {
+    fail_executor("run_cannon: extent of index '" + space.name(d) + "' (" +
+                  std::to_string(n) + ") must divide the grid edge " +
+                  std::to_string(e));
   }
-  return r;
+  return n / e;
 }
 
-/// The block triple (bi, bj, bk) processed by logical processor (w1, w2)
-/// at step s — see the file comment in executor.hpp.
-struct Triple {
-  std::uint32_t bi, bj, bk;
+/// Where the blocks of one array lie in its full tensor, walked in a
+/// packed GEMM order: the walk of block (0, 0), and how far the base
+/// offset moves per block coordinate of each of the two split indices.
+struct BlockWalk {
+  StridedBox box;
+  std::uint64_t step1 = 0;
+  std::uint64_t step2 = 0;
+
+  StridedBox at(std::uint32_t b1, std::uint32_t b2) const {
+    StridedBox b = box;
+    b.base = checked_add(checked_mul(b1, step1), checked_mul(b2, step2));
+    return b;
+  }
 };
 
-Triple triple_at(const CannonChoice& c, std::uint32_t e, std::uint32_t w1,
-                 std::uint32_t w2, std::uint32_t s) {
-  const std::uint32_t moving = (w1 + w2 + s) % e;
-  if (c.rot == c.k) return {w1, w2, moving};
-  if (c.rot == c.i) return {moving, w2, w1};
-  return {w1, moving, w2};  // rot == j
+/// The block walk of \p t in \p order (a permutation of its labels),
+/// where \p s1 and \p s2 are split `e` ways into blocks of \p len1 and
+/// \p len2 elements.
+BlockWalk block_walk(const DenseTensor& t, const std::vector<IndexId>& order,
+                     std::uint32_t e, IndexId s1, std::uint64_t len1,
+                     IndexId s2, std::uint64_t len2) {
+  TCE_EXPECTS(order.size() == t.rank());
+  BlockWalk w;
+  for (IndexId d : order) {
+    const std::size_t pos = t.pos_of(d);
+    const std::uint64_t stride = t.stride(pos);
+    std::uint64_t len = t.extents()[pos];
+    if (d == s1 || d == s2) {
+      const std::uint64_t blk = d == s1 ? len1 : len2;
+      TCE_EXPECTS_MSG(len == checked_mul(blk, e),
+                      "split dimension disagrees with the index space");
+      (d == s1 ? w.step1 : w.step2) = checked_mul(blk, stride);
+      len = blk;
+    }
+    w.box.push(stride, 0, len);
+  }
+  return w;
+}
+
+std::vector<IndexId> concat(const std::vector<IndexId>& a,
+                            const std::vector<IndexId>& b,
+                            const std::vector<IndexId>& c) {
+  std::vector<IndexId> out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  out.insert(out.end(), c.begin(), c.end());
+  return out;
+}
+
+/// The summation block that meets result block (bi, bj) at step s.
+/// The schedule in executor.hpp gives logical processor (w1, w2) at
+/// step s the triple
+///   rot = k:  (bi, bj, bk) = (w1, w2, (w1+w2+s) mod e)
+///   rot = i:  (bi, bj, bk) = ((w1+w2+s) mod e, w2, w1)
+///   rot = j:  (bi, bj, bk) = (w1, (w1+w2+s) mod e, w2);
+/// solving the moving coordinate for bk yields the cases below.
+std::uint32_t bk_at(const CannonChoice& c, std::uint32_t e, std::uint32_t bi,
+                    std::uint32_t bj, std::uint32_t s) {
+  if (c.rot == c.k) return (bi + bj + s) % e;
+  if (c.rot == c.i) return (bi + 2 * e - bj - s) % e;
+  return (bj + 2 * e - bi - s) % e;  // rot == j
 }
 
 /// Network::run_phases, plus a histogram sample per phase duration
@@ -129,8 +154,8 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   obs::count("cannon.runs");
   obs::count("cannon.steps", e);
   if (obs::trace_enabled()) {
-    // The initial skewed alignment (blocks are extracted pre-aligned to
-    // their step-0 triple — Cannon's skew).
+    // The initial skewed alignment (each processor starts on its step-0
+    // triple — Cannon's skew).
     obs::trace_instant(
         "cannon.skew " + node.tensor.name, "cannon",
         json::ObjectWriter()
@@ -143,10 +168,6 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   auto phys = [&](std::uint32_t w1, std::uint32_t w2) {
     return choice.transposed ? grid.rank(w2, w1) : grid.rank(w1, w2);
   };
-
-  // Reconstruct symbolic refs for the operands from their labeled dims.
-  TensorRef a_ref{"left", left_full.dims()};
-  TensorRef b_ref{"right", right_full.dims()};
   const TensorRef& c_ref = node.tensor;
 
   // Sanity: triplet indices belong to the right arrays.
@@ -154,31 +175,139 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   TCE_EXPECTS(node.right_indices.contains(choice.j));
   TCE_EXPECTS(node.sum_indices.contains(choice.k));
 
-  // Per-logical-processor block state, flattened w1 * e + w2.
-  const std::size_t np = static_cast<std::size_t>(e) * e;
-  std::vector<DenseTensor> a_blk(np), b_blk(np), c_blk(np);
-  std::vector<Triple> coords(np);
+  const std::uint64_t len_i = split_len(space, choice.i, e);
+  const std::uint64_t len_j = split_len(space, choice.j, e);
+  const std::uint64_t len_k = split_len(space, choice.k, e);
 
-  for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-    for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-      const Triple t = triple_at(choice, e, w1, w2, 0);
-      const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-      coords[p] = t;
-      a_blk[p] = extract_block(
-          left_full, range_for(a_ref, space, e,
-                               {{choice.i, t.bi}, {choice.k, t.bk}}));
-      b_blk[p] = extract_block(
-          right_full, range_for(b_ref, space, e,
-                                {{choice.k, t.bk}, {choice.j, t.bj}}));
-      const BlockRange cr = range_for(
-          c_ref, space, e, {{choice.i, t.bi}, {choice.j, t.bj}});
-      std::vector<std::uint64_t> cext;
-      for (std::size_t d = 0; d < cr.rank(); ++d) {
-        cext.push_back(cr.extent(d));
+  // ---- Numerics, block-major by block coordinate.  A block of an
+  // array holds the same values on whichever processor the rotation
+  // schedule puts it, so the numerics need no rotation: result block
+  // (bi, bj) accumulates A(bi, bk)·B(bk, bj) for the bk each step s
+  // brings it, in step order — the per-block order of the step-major
+  // schedule, hence the same bits.
+  const TtgtGroups g =
+      classify_ttgt(left_full, right_full, c_ref.dims, node.sum_indices);
+  TCE_EXPECTS_MSG(g.covered,
+                  "ttgt: operand dimension outside result and sum labels");
+  if (std::find(g.k.begin(), g.k.end(), choice.k) == g.k.end()) {
+    fail_executor("run_cannon: summed index '" + space.name(choice.k) +
+                  "' of the triplet must appear in both operands");
+  }
+  // A summed index found in only one operand is never split (the
+  // triplet's k is in both), so reducing it over the full operand sums
+  // exactly what each block's reduction summed, in the same order.
+  const DenseTensor* pa = &left_full;
+  const DenseTensor* pb = &right_full;
+  DenseTensor a_red;
+  DenseTensor b_red;
+  if (!g.a_only_sum.empty()) {
+    a_red = pre_reduce(left_full, g.a_only_sum);
+    pa = &a_red;
+  }
+  if (!g.b_only_sum.empty()) {
+    b_red = pre_reduce(right_full, g.b_only_sum);
+    pb = &b_red;
+  }
+  const std::vector<IndexId> kdims = k_pack_order(*pa, g);
+
+  CannonRunResult out;
+  out.result = make_tensor(c_ref, space);
+  const BlockWalk a_walk = block_walk(*pa, concat(g.batch, g.m, kdims), e,
+                                      choice.i, len_i, choice.k, len_k);
+  const BlockWalk b_walk = block_walk(*pb, concat(g.batch, kdims, g.n), e,
+                                      choice.k, len_k, choice.j, len_j);
+  const BlockWalk c_walk = block_walk(out.result, concat(g.batch, g.m, g.n),
+                                      e, choice.i, len_i, choice.j, len_j);
+  const std::uint64_t m_blk = g.m_elems / e;
+  const std::uint64_t n_blk = g.n_elems / e;
+  const std::uint64_t k_blk = g.k_elems / e;
+  const std::size_t a_sz = a_walk.box.size();
+  const std::size_t b_sz = b_walk.box.size();
+  const std::size_t c_sz = c_walk.box.size();
+
+  // Every operand block is gathered once, straight into its packed
+  // [batch][m][k] / [batch][k][n] layout.  The smaller operand is
+  // gathered whole up front, the larger one a panel at a time — the e
+  // blocks A(bi, ·) of one block row of the result, or B(·, bj) of one
+  // block column — and the result blocks are visited panel by panel, so
+  // the packed copy of the larger operand is 1/e of it.
+  const std::size_t np = static_cast<std::size_t>(e) * e;
+  const bool panel_a = a_sz >= b_sz;
+  std::vector<double> whole(checked_mul(np, panel_a ? b_sz : a_sz));
+  std::vector<double> panel(checked_mul(e, panel_a ? a_sz : b_sz));
+  auto a_block = [&](std::uint32_t bi, std::uint32_t bk) {
+    return panel_a
+               ? std::span<double>(panel).subspan(bk * a_sz, a_sz)
+               : std::span<double>(whole).subspan(
+                     (static_cast<std::size_t>(bi) * e + bk) * a_sz, a_sz);
+  };
+  auto b_block = [&](std::uint32_t bk, std::uint32_t bj) {
+    return panel_a
+               ? std::span<double>(whole).subspan(
+                     (static_cast<std::size_t>(bk) * e + bj) * b_sz, b_sz)
+               : std::span<double>(panel).subspan(bk * b_sz, b_sz);
+  };
+  for (std::uint32_t x = 0; x < e; ++x) {
+    for (std::uint32_t y = 0; y < e; ++y) {
+      if (panel_a) {
+        gather_box(pb->data(), b_walk.at(x, y), b_block(x, y));
+      } else {
+        gather_box(pa->data(), a_walk.at(x, y), a_block(x, y));
       }
-      c_blk[p] = DenseTensor(c_ref.dims, std::move(cext));
     }
   }
+
+  // The step-major schedule formed each step's product in a zeroed
+  // buffer and added it to the resident block.  When the kernel adds
+  // each product to C in one addition anyway, the products go straight
+  // into the block's accumulator; otherwise through that step buffer.
+  const bool direct = matmul_acc_adds_once(m_blk, k_blk, n_blk);
+  std::vector<double> acc(c_sz);
+  std::vector<double> step(direct ? 0 : c_sz);
+  for (std::uint32_t outer = 0; outer < e; ++outer) {
+    for (std::uint32_t bk = 0; bk < e; ++bk) {
+      if (panel_a) {
+        gather_box(pa->data(), a_walk.at(outer, bk), a_block(outer, bk));
+      } else {
+        gather_box(pb->data(), b_walk.at(bk, outer), b_block(bk, outer));
+      }
+    }
+    for (std::uint32_t inner = 0; inner < e; ++inner) {
+      const std::uint32_t bi = panel_a ? outer : inner;
+      const std::uint32_t bj = panel_a ? inner : outer;
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (std::uint32_t s = 0; s < e; ++s) {
+        const std::uint32_t bk = bk_at(choice, e, bi, bj, s);
+        if (!direct) std::fill(step.begin(), step.end(), 0.0);
+        batched_matmul_acc(a_block(bi, bk), b_block(bk, bj),
+                           direct ? acc : step, g.batch_elems, m_blk, k_blk,
+                           n_blk);
+        if (!direct) {
+          for (std::size_t x = 0; x < c_sz; ++x) acc[x] += step[x];
+        }
+      }
+      scatter_box(acc, c_walk.at(bi, bj), out.result.data());
+    }
+  }
+  if (obs::metrics_enabled()) {
+    // Layout traffic of the executor: the operand gathers, the result
+    // scatter and, without direct accumulation, the zero-init and add of
+    // every step's product.
+    std::uint64_t moved = checked_add(
+        checked_add(pa->size(), pb->size()), out.result.size());
+    if (!direct) {
+      moved = checked_add(moved, checked_mul(checked_mul(2, e),
+                                             out.result.size()));
+    }
+    obs::count("kernel.pack_bytes", checked_mul(moved, sizeof(double)));
+  }
+
+  // ---- Simulated schedule.  The flows, compute loads and resident
+  // bytes of every step depend only on the uniform block sizes and the
+  // rotation maps, not on block contents.
+  const std::uint64_t a_blk = left_full.size() / np;
+  const std::uint64_t b_blk = right_full.size() / np;
+  const std::uint64_t c_blk = out.result.size() / np;
 
   // Per-step per-rank compute: one block triple of the full loop space.
   const std::uint64_t loop_total =
@@ -192,20 +321,22 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
   const bool a_rot = choice.rotates_left();
   const bool b_rot = choice.rotates_right();
   const bool c_rot = choice.rotates_result();
+  const int c_dim = choice.rot == choice.i ? 1 : 2;
 
-  auto shifted = [&](std::uint32_t w1, std::uint32_t w2,
-                     int logical_dim) -> std::size_t {
-    if (logical_dim == 1) w1 = (w1 + e - 1) % e;
-    if (logical_dim == 2) w2 = (w2 + e - 1) % e;
-    return static_cast<std::size_t>(w1) * e + w2;
-  };
+  // Every rank holds one block of each array plus, while a shift is in
+  // flight, a receive buffer for the largest moving block.
+  std::uint64_t largest_moving = 0;
+  if (a_rot) largest_moving = std::max(largest_moving, a_blk);
+  if (b_rot) largest_moving = std::max(largest_moving, b_blk);
+  if (c_rot) largest_moving = std::max(largest_moving, c_blk);
+  out.peak_rank_bytes =
+      checked_mul(checked_add(checked_add(checked_add(a_blk, b_blk), c_blk),
+                              largest_moving),
+                  sizeof(double));
 
-  std::vector<Phase> phases;
-  phases.reserve(e);
-  std::uint64_t peak = 0;
-
+  std::vector<Phase> phases(e);
   for (std::uint32_t s = 0; s < e; ++s) {
-    Phase phase;
+    Phase& phase = phases[s];
     if (obs::trace_enabled()) {
       phase.label = node.tensor.name + " rotate step " +
                     std::to_string(s) + " (rot " +
@@ -213,82 +344,25 @@ CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
     }
     for (std::uint32_t w1 = 0; w1 < e; ++w1) {
       for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-        const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-        contract_blocks_acc(a_blk[p], b_blk[p], node.sum_indices, c_blk[p]);
-        phase.compute.push_back({phys(w1, w2), flops_per_block});
-
-        std::uint64_t resident = (a_blk[p].size() + b_blk[p].size() +
-                                  c_blk[p].size()) *
-                                 sizeof(double);
-        std::uint64_t largest_moving = 0;
-        if (a_rot) largest_moving = std::max(largest_moving, a_blk[p].size());
-        if (b_rot) largest_moving = std::max(largest_moving, b_blk[p].size());
-        if (c_rot) largest_moving = std::max(largest_moving, c_blk[p].size());
-        peak = std::max(peak, resident + largest_moving * sizeof(double));
-
-        // Emit the shift flows for this step (every step shifts; the last
-        // shift returns blocks to their aligned start — the √P-step
-        // rotation accounting of §3.2).
-        auto emit = [&](const DenseTensor& blk, int logical_dim) {
-          const std::size_t q = shifted(w1, w2, logical_dim);
-          const std::uint32_t src = phys(w1, w2);
+        const std::uint32_t src = phys(w1, w2);
+        phase.compute.push_back({src, flops_per_block});
+        // Every step shifts; the last shift returns blocks to their
+        // aligned start (the √P-step rotation accounting of §3.2).
+        auto emit = [&](std::uint64_t elems, int logical_dim) {
           const std::uint32_t dst =
-              phys(static_cast<std::uint32_t>(q / e),
-                   static_cast<std::uint32_t>(q % e));
+              logical_dim == 1 ? phys((w1 + e - 1) % e, w2)
+                               : phys(w1, (w2 + e - 1) % e);
           if (src != dst) {
-            phase.flows.push_back({src, dst, blk.size() * sizeof(double)});
+            phase.flows.push_back({src, dst, elems * sizeof(double)});
           }
         };
-        if (a_rot) emit(a_blk[p], 2);
-        if (b_rot) emit(b_blk[p], 1);
-        if (c_rot) emit(c_blk[p], choice.rot == choice.i ? 1 : 2);
+        if (a_rot) emit(a_blk, 2);
+        if (b_rot) emit(b_blk, 1);
+        if (c_rot) emit(c_blk, c_dim);
       }
-    }
-    phases.push_back(std::move(phase));
-
-    // Apply the shifts to the block state.
-    auto apply_shift = [&](std::vector<DenseTensor>& blocks,
-                           int logical_dim) {
-      std::vector<DenseTensor> next(np);
-      for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-        for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-          const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-          next[shifted(w1, w2, logical_dim)] = std::move(blocks[p]);
-        }
-      }
-      blocks = std::move(next);
-    };
-    if (a_rot) apply_shift(a_blk, 2);
-    if (b_rot) apply_shift(b_blk, 1);
-    if (c_rot) apply_shift(c_blk, choice.rot == choice.i ? 1 : 2);
-    // Track the result blocks' coordinates through their shifts.
-    if (c_rot) {
-      std::vector<Triple> next(np);
-      const int dim = choice.rot == choice.i ? 1 : 2;
-      for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-        for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-          const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-          next[shifted(w1, w2, dim)] = coords[p];
-        }
-      }
-      coords = std::move(next);
-    }
-  }
-
-  // Gather the result by tracked block coordinates.
-  CannonRunResult out;
-  out.result = make_tensor(c_ref, space);
-  for (std::uint32_t w1 = 0; w1 < e; ++w1) {
-    for (std::uint32_t w2 = 0; w2 < e; ++w2) {
-      const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
-      const BlockRange cr =
-          range_for(c_ref, space, e,
-                    {{choice.i, coords[p].bi}, {choice.j, coords[p].bj}});
-      place_block(c_blk[p], cr, out.result);
     }
   }
   out.timing = run_phases_observed(net, phases);
-  out.peak_rank_bytes = peak;
   return out;
 }
 
@@ -466,8 +540,21 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
                        const ContractionTree& tree,
                        const std::map<NodeId, ExecChoice>& choices,
                        const std::map<std::string, DenseTensor>& inputs) {
-  std::map<NodeId, DenseTensor> values;
+  // Inputs are read in place; only intermediates are owned here.
+  std::map<NodeId, const DenseTensor*> values;
+  std::map<NodeId, DenseTensor> owned;
   TreeRunResult out;
+  auto value = [&](NodeId id) -> const DenseTensor& {
+    return *values.at(id);
+  };
+  auto store = [&](NodeId id, DenseTensor t) {
+    values[id] = &(owned[id] = std::move(t));
+  };
+  auto release = [&](NodeId id) {
+    if (id == kNoNode) return;
+    values.erase(id);
+    owned.erase(id);
+  };
 
   for (NodeId id : tree.post_order()) {
     const ContractionNode& n = tree.node(id);
@@ -478,7 +565,7 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
           fail_executor("run_tree: missing input '" + n.tensor.name +
                         "'");
         }
-        values.emplace(id, it->second);
+        values.emplace(id, &it->second);
         break;
       }
       case ContractionNode::Kind::kContraction: {
@@ -504,28 +591,30 @@ TreeRunResult run_tree(const Network& net, const ProcGrid& grid,
         CannonRunResult r =
             choice.replicated
                 ? run_replicated(net, grid, tree.space(), n, choice.repl,
-                                 values.at(n.left), values.at(n.right))
+                                 value(n.left), value(n.right))
                 : run_cannon(net, grid, tree.space(), n, choice.cannon,
-                             values.at(n.left), values.at(n.right));
+                             value(n.left), value(n.right));
         out.timing.comm_s += r.timing.comm_s;
         out.timing.compute_s += r.timing.compute_s;
-        values.emplace(id, std::move(r.result));
+        store(id, std::move(r.result));
         break;
       }
       case ContractionNode::Kind::kReduce: {
         // A pure reduction over locally complete data: modeled as local
         // compute (one add per input element per processor share).
-        values.emplace(id, einsum_reduce(values.at(n.left), n.tensor.dims));
+        store(id, einsum_reduce(value(n.left), n.tensor.dims));
         out.timing.compute_s +=
             static_cast<double>(tree.flops(id) / grid.procs) /
             net.spec().flops_per_proc;
         break;
       }
     }
-    if (n.left != kNoNode) values.erase(n.left);
-    if (n.right != kNoNode) values.erase(n.right);
+    release(n.left);
+    release(n.right);
   }
-  out.result = std::move(values.at(tree.root()));
+  auto root = owned.find(tree.root());
+  out.result = root != owned.end() ? std::move(root->second)
+                                   : value(tree.root());
   return out;
 }
 

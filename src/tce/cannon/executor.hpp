@@ -3,13 +3,11 @@
 /// Distributed execution of generalized Cannon contractions on the
 /// simulated cluster.
 ///
-/// The executor is an SPMD simulation: every rank owns real double-
-/// precision blocks, local block contractions run through the matmul fast
-/// path, and each synchronized rotation step emits its point-to-point
-/// flows to the flow-level network simulator, which prices them under
-/// contention.  The result is therefore both a *numerically correct*
-/// output tensor (validated against the reference einsum in tests) and a
-/// *simulated wall time* decomposed into communication and computation.
+/// The executor produces both a *numerically correct* output tensor
+/// (validated against the reference einsum in tests) and a *simulated
+/// wall time* decomposed into communication and computation: the
+/// schedule's rotation steps are emitted as point-to-point flows to the
+/// flow-level network simulator, which prices them under contention.
 ///
 /// Block schedule (canonical orientation; the transposed orientation
 /// swaps the grid dimensions): with e = √P, processor (z1, z2) at step s
@@ -25,6 +23,17 @@
 /// relabelings of equally-shaped blocks and are free, consistent with the
 /// paper's zero cost for non-rotated arrays and free initial
 /// distributions.
+///
+/// The numerics are block-major by block coordinate: a block holds the
+/// same values on whichever processor the schedule puts it, so nothing
+/// is moved.  Each operand block is gathered once, straight into its
+/// packed GEMM layout, and each result block (bi, bj) accumulates
+/// A(bi, bk)·B(bk, bj) in one buffer for the bk of steps s = 0 … e−1 in
+/// order, then is scattered once.  That per-block order is the step
+/// order of the schedule, so the bits are those of rotating real blocks.
+/// The rotation schedule only shapes the simulated flows, compute loads
+/// and peak resident bytes, which depend on the uniform block sizes
+/// alone (docs/KERNELS.md).
 
 #include "tce/costmodel/machine_model.hpp"
 #include "tce/dist/cannon_space.hpp"
@@ -42,10 +51,10 @@ struct CannonRunResult {
 };
 
 /// Executes one contraction node with the given Cannon choice.  The
-/// operand tensors are full arrays (the executor scatters them into the
-/// schedule's block placement; initial distribution is free per §3.3).
-/// Requires a full triplet (i, j, k all assigned) and extents divisible
-/// by the grid edge.
+/// operand tensors are full arrays (the executor cuts them into the
+/// schedule's blocks; initial distribution is free per §3.3).
+/// Requires a full triplet (i, j, k all assigned) whose k is found in
+/// both operands, and extents divisible by the grid edge.
 CannonRunResult run_cannon(const Network& net, const ProcGrid& grid,
                            const IndexSpace& space,
                            const ContractionNode& node,
@@ -88,7 +97,8 @@ struct ExecChoice {
 /// reference reducer (their cost is a local sum when the reduced
 /// dimensions are unsplit under the chosen distributions, which the
 /// full-triplet requirement guarantees for the chained value).  Returns
-/// the final tensor and the summed contraction timings.
+/// the final tensor and the summed contraction timings.  Inputs are read
+/// in place; only intermediates are held.
 struct TreeRunResult {
   DenseTensor result;
   PhaseResult timing;

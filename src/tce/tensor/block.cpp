@@ -1,6 +1,7 @@
 #include "tce/tensor/block.hpp"
 
 #include "tce/common/error.hpp"
+#include "tce/tensor/box.hpp"
 
 namespace tce {
 
@@ -37,27 +38,15 @@ BlockRange block_range(const TensorRef& v, const Distribution& alpha,
 
 namespace {
 
-/// Runs fn(block_idx, full_idx_offsets) over all positions of \p r.
-template <typename Fn>
-void for_each_position(const DenseTensor& full, const BlockRange& r,
-                       Fn&& fn) {
+/// The walk over \p r inside \p full, in full's own dimension order.
+StridedBox box_of(const DenseTensor& full, const BlockRange& r) {
   TCE_EXPECTS(full.rank() == r.rank());
-  std::vector<std::uint64_t> extents;
-  extents.reserve(r.rank());
+  StridedBox box;
   for (std::size_t d = 0; d < r.rank(); ++d) {
-    TCE_EXPECTS(r.hi[d] <= full.extents()[d]);
-    extents.push_back(r.extent(d));
+    TCE_EXPECTS(r.lo[d] < r.hi[d] && r.hi[d] <= full.extents()[d]);
+    box.push(full.stride(d), r.lo[d], r.extent(d));
   }
-  MultiIndex mi(extents);
-  std::vector<std::uint64_t> full_idx(r.rank());
-  std::uint64_t flat = 0;
-  do {
-    const auto idx = mi.values();
-    for (std::size_t d = 0; d < r.rank(); ++d) {
-      full_idx[d] = r.lo[d] + idx[d];
-    }
-    fn(flat++, full_idx);
-  } while (mi.advance());
+  return box;
 }
 
 }  // namespace
@@ -66,35 +55,18 @@ DenseTensor extract_block(const DenseTensor& full, const BlockRange& r) {
   std::vector<std::uint64_t> extents;
   for (std::size_t d = 0; d < r.rank(); ++d) extents.push_back(r.extent(d));
   DenseTensor block(full.dims(), std::move(extents));
-  std::span<double> out = block.data();
-  for_each_position(full, r,
-                    [&](std::uint64_t flat,
-                        const std::vector<std::uint64_t>& idx) {
-                      out[flat] = full.at(idx);
-                    });
+  gather_box(full.data(), box_of(full, r), block.data());
   return block;
 }
 
 void place_block(const DenseTensor& block, const BlockRange& r,
                  DenseTensor& full) {
-  std::span<const double> in = block.data();
-  TCE_EXPECTS(block.size() == r.size());
-  for_each_position(full, r,
-                    [&](std::uint64_t flat,
-                        const std::vector<std::uint64_t>& idx) {
-                      full.at(idx) = in[flat];
-                    });
+  scatter_box(block.data(), box_of(full, r), full.data());
 }
 
 void accumulate_block(const DenseTensor& block, const BlockRange& r,
                       DenseTensor& full) {
-  std::span<const double> in = block.data();
-  TCE_EXPECTS(block.size() == r.size());
-  for_each_position(full, r,
-                    [&](std::uint64_t flat,
-                        const std::vector<std::uint64_t>& idx) {
-                      full.at(idx) += in[flat];
-                    });
+  scatter_box_acc(block.data(), box_of(full, r), full.data());
 }
 
 }  // namespace tce

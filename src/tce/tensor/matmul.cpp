@@ -1,7 +1,5 @@
 #include "tce/tensor/matmul.hpp"
 
-#include <algorithm>
-
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/tensor/kernel.hpp"
@@ -26,78 +24,28 @@ void matmul_acc(std::span<const double> a, std::span<const double> b,
   }
 }
 
-namespace {
-
-/// Strides of \p t for the loop order row_dims ++ col_dims, plus the
-/// extent product of each group.
-struct PackPlan {
-  std::vector<std::uint64_t> extents;  // loop extents, rows then cols
-  std::vector<std::uint64_t> strides;  // matching tensor strides
-  std::uint64_t rows = 1;
-  std::uint64_t cols = 1;
-};
-
-PackPlan make_plan(const DenseTensor& t, const std::vector<IndexId>& rows,
-                   const std::vector<IndexId>& cols) {
-  if (rows.size() + cols.size() != t.rank()) {
-    throw Error("pack_matrix: dimension groups must cover the tensor");
-  }
-  PackPlan p;
-  for (IndexId id : rows) {
-    p.extents.push_back(t.extent_of(id));
-    p.strides.push_back(t.stride(t.pos_of(id)));
-    p.rows = checked_mul(p.rows, p.extents.back());
-  }
-  for (IndexId id : cols) {
-    p.extents.push_back(t.extent_of(id));
-    p.strides.push_back(t.stride(t.pos_of(id)));
-    p.cols = checked_mul(p.cols, p.extents.back());
-  }
-  return p;
+bool matmul_acc_adds_once(std::size_t m, std::size_t k, std::size_t n) {
+  const KernelConfig& cfg = kernel_config();
+  const std::uint64_t mnk =
+      checked_mul(checked_mul(static_cast<std::uint64_t>(m), k), n);
+  return select_kernel(cfg.kind, mnk) == KernelKind::kTiled &&
+         k <= cfg.tiles.kc;
 }
 
-}  // namespace
-
-void pack_matrix(const DenseTensor& t, const std::vector<IndexId>& row_dims,
-                 const std::vector<IndexId>& col_dims,
-                 std::vector<double>& out, std::uint64_t& rows,
-                 std::uint64_t& cols) {
-  const PackPlan p = make_plan(t, row_dims, col_dims);
-  rows = p.rows;
-  cols = p.cols;
-  out.resize(p.rows * p.cols);
-
-  std::span<const double> src = t.data();
-  MultiIndex mi(p.extents);
-  std::uint64_t flat = 0;
-  do {
-    std::uint64_t off = 0;
-    const auto idx = mi.values();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      off += idx[i] * p.strides[i];
-    }
-    out[flat++] = src[off];
-  } while (mi.advance());
-}
-
-void unpack_matrix_acc(std::span<const double> m,
-                       const std::vector<IndexId>& row_dims,
-                       const std::vector<IndexId>& col_dims,
-                       DenseTensor& t) {
-  const PackPlan p = make_plan(t, row_dims, col_dims);
-  TCE_EXPECTS(m.size() == p.rows * p.cols);
-
-  std::span<double> dst = t.data();
-  MultiIndex mi(p.extents);
-  std::uint64_t flat = 0;
-  do {
-    std::uint64_t off = 0;
-    const auto idx = mi.values();
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      off += idx[i] * p.strides[i];
-    }
-    dst[off] += m[flat++];
-  } while (mi.advance());
+void batched_matmul_acc(std::span<const double> a, std::span<const double> b,
+                        std::span<double> c, std::uint64_t batch,
+                        std::uint64_t m, std::uint64_t k, std::uint64_t n) {
+  const std::size_t a_slice = checked_mul(m, k);
+  const std::size_t b_slice = checked_mul(k, n);
+  const std::size_t c_slice = checked_mul(m, n);
+  TCE_EXPECTS(a.size() == checked_mul(batch, a_slice));
+  TCE_EXPECTS(b.size() == checked_mul(batch, b_slice));
+  TCE_EXPECTS(c.size() == checked_mul(batch, c_slice));
+  for (std::uint64_t bi = 0; bi < batch; ++bi) {
+    matmul_acc(a.subspan(bi * a_slice, a_slice),
+               b.subspan(bi * b_slice, b_slice),
+               c.subspan(bi * c_slice, c_slice), m, k, n);
+  }
 }
 
 void contract_blocks_acc(const DenseTensor& a, const DenseTensor& b,

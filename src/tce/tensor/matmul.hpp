@@ -4,10 +4,10 @@
 ///
 /// A true contraction C(I,J) += A(I,K)·B(K,J) maps to a matrix product
 /// after packing the I dimensions into rows and the K (resp. J)
-/// dimensions into columns.  pack_matrix performs the permutation;
-/// matmul_acc is a cache-blocked kernel; contract_blocks composes them
-/// and accumulates into a labeled result tensor.  This is what each
-/// simulated rank executes during a Cannon step.
+/// dimensions into columns (the strided box walk of box.hpp performs the
+/// permutation); matmul_acc dispatches to a GEMM kernel;
+/// contract_blocks_acc composes them through the TTGT lowering and
+/// accumulates into a labeled result tensor.
 
 #include "tce/tensor/dense.hpp"
 
@@ -20,21 +20,19 @@ void matmul_acc(std::span<const double> a, std::span<const double> b,
                 std::span<double> c, std::size_t m, std::size_t k,
                 std::size_t n);
 
-/// Packs tensor \p t into a row-major (row_dims × col_dims) matrix.  The
-/// two groups together must cover every dimension of \p t exactly once.
-/// Returns the matrix in \p out (resized); row and column element counts
-/// via the out-parameters.
-void pack_matrix(const DenseTensor& t, const std::vector<IndexId>& row_dims,
-                 const std::vector<IndexId>& col_dims,
-                 std::vector<double>& out, std::uint64_t& rows,
-                 std::uint64_t& cols);
+/// True when matmul_acc on an (m×k)·(k×n) product forms every entry of
+/// the product from zero and adds it to C in one addition — the tiled
+/// kernel within a single KC depth block.  Accumulating several products
+/// straight into C then rounds exactly like forming each one in a zeroed
+/// buffer and adding that buffer to C.  Reads the process-wide kernel
+/// config, like matmul_acc.
+bool matmul_acc_adds_once(std::size_t m, std::size_t k, std::size_t n);
 
-/// Scatters a packed (row_dims × col_dims) matrix back into tensor \p t,
-/// accumulating (+=).
-void unpack_matrix_acc(std::span<const double> m,
-                       const std::vector<IndexId>& row_dims,
-                       const std::vector<IndexId>& col_dims,
-                       DenseTensor& t);
+/// c[batch][m][n] += a[batch][m][k] · b[batch][k][n]: one matmul_acc
+/// per batch slice of the packed buffers.
+void batched_matmul_acc(std::span<const double> a, std::span<const double> b,
+                        std::span<double> c, std::uint64_t batch,
+                        std::uint64_t m, std::uint64_t k, std::uint64_t n);
 
 /// c += contraction of blocks a and b over the labels in
 /// \p sum_indices, via the TTGT lowering (tce/tensor/ttgt.hpp): pack →

@@ -5,6 +5,7 @@
 #include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/obs/metrics.hpp"
+#include "tce/tensor/box.hpp"
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/matmul.hpp"
 
@@ -16,97 +17,24 @@ bool in_group(const std::vector<IndexId>& group, IndexId d) {
   return std::find(group.begin(), group.end(), d) != group.end();
 }
 
-/// Strides of \p t for the loop order batch ++ rows ++ cols — the
-/// three-group generalization of matmul.cpp's two-group PackPlan.  The
+/// The walk of \p t in the loop order batch ++ rows ++ cols.  The
 /// groups must cover every dimension of \p t exactly once.
-struct GroupPlan {
-  std::vector<std::uint64_t> extents;
-  std::vector<std::uint64_t> strides;
-  std::uint64_t batch = 1;
-  std::uint64_t rows = 1;
-  std::uint64_t cols = 1;
-};
-
-GroupPlan make_group_plan(const DenseTensor& t,
-                          const std::vector<IndexId>& batch_dims,
-                          const std::vector<IndexId>& row_dims,
-                          const std::vector<IndexId>& col_dims) {
+StridedBox group_box(const DenseTensor& t,
+                     const std::vector<IndexId>& batch_dims,
+                     const std::vector<IndexId>& row_dims,
+                     const std::vector<IndexId>& col_dims) {
   if (batch_dims.size() + row_dims.size() + col_dims.size() != t.rank()) {
     throw Error("ttgt: dimension groups must cover the tensor");
   }
-  GroupPlan p;
-  auto add = [&](const std::vector<IndexId>& dims, std::uint64_t& product) {
-    for (IndexId id : dims) {
-      p.extents.push_back(t.extent_of(id));
-      p.strides.push_back(t.stride(t.pos_of(id)));
-      product = checked_mul(product, p.extents.back());
+  StridedBox box;
+  for (const std::vector<IndexId>* group : {&batch_dims, &row_dims,
+                                            &col_dims}) {
+    for (IndexId id : *group) {
+      const std::size_t pos = t.pos_of(id);
+      box.push(t.stride(pos), 0, t.extents()[pos]);
     }
-  };
-  add(batch_dims, p.batch);
-  add(row_dims, p.rows);
-  add(col_dims, p.cols);
-  return p;
-}
-
-/// Gathers \p t into a contiguous [batch][rows][cols] buffer.  The
-/// innermost dimension runs in a tight strided loop; outer dimensions
-/// advance by odometer.
-void pack_grouped(const DenseTensor& t, const GroupPlan& p,
-                  std::vector<double>& out) {
-  out.resize(checked_mul(checked_mul(p.batch, p.rows), p.cols));
-  std::span<const double> src = t.data();
-  if (p.extents.empty()) {
-    out[0] = src[0];
-    return;
   }
-  const std::size_t nd = p.extents.size();
-  const std::uint64_t inner_n = p.extents[nd - 1];
-  const std::uint64_t inner_s = p.strides[nd - 1];
-  MultiIndex mi(std::span<const std::uint64_t>(p.extents.data(), nd - 1));
-  std::uint64_t flat = 0;
-  do {
-    const auto idx = mi.values();
-    std::uint64_t off = 0;
-    for (std::size_t i = 0; i + 1 < nd; ++i) off += idx[i] * p.strides[i];
-    const double* s = src.data() + off;
-    double* d = out.data() + flat;
-    if (inner_s == 1) {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] = s[j];
-    } else {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] = s[j * inner_s];
-    }
-    flat += inner_n;
-  } while (mi.advance());
-}
-
-/// Scatters a packed [batch][rows][cols] buffer back into \p t,
-/// accumulating (+=).
-void unpack_grouped_acc(std::span<const double> buf, const GroupPlan& p,
-                        DenseTensor& t) {
-  TCE_EXPECTS(buf.size() == p.batch * p.rows * p.cols);
-  std::span<double> dst = t.data();
-  if (p.extents.empty()) {
-    dst[0] += buf[0];
-    return;
-  }
-  const std::size_t nd = p.extents.size();
-  const std::uint64_t inner_n = p.extents[nd - 1];
-  const std::uint64_t inner_s = p.strides[nd - 1];
-  MultiIndex mi(std::span<const std::uint64_t>(p.extents.data(), nd - 1));
-  std::uint64_t flat = 0;
-  do {
-    const auto idx = mi.values();
-    std::uint64_t off = 0;
-    for (std::size_t i = 0; i + 1 < nd; ++i) off += idx[i] * p.strides[i];
-    double* d = dst.data() + off;
-    const double* s = buf.data() + flat;
-    if (inner_s == 1) {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j] += s[j];
-    } else {
-      for (std::uint64_t j = 0; j < inner_n; ++j) d[j * inner_s] += s[j];
-    }
-    flat += inner_n;
-  } while (mi.advance());
+  return box;
 }
 
 }  // namespace
@@ -172,6 +100,24 @@ TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
   return g;
 }
 
+DenseTensor pre_reduce(const DenseTensor& t,
+                       const std::vector<IndexId>& sums) {
+  std::vector<IndexId> keep;
+  for (IndexId d : t.dims()) {
+    if (!in_group(sums, d)) keep.push_back(d);
+  }
+  return einsum_reduce(t, keep);
+}
+
+std::vector<IndexId> k_pack_order(const DenseTensor& a,
+                                  const TtgtGroups& g) {
+  std::vector<IndexId> kdims;
+  for (IndexId d : a.dims()) {
+    if (in_group(g.k, d)) kdims.push_back(d);
+  }
+  return kdims;
+}
+
 void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
                        IndexSet sum_indices, DenseTensor& c) {
   const TtgtGroups g = classify_ttgt(a, b, c.dims(), sum_indices);
@@ -185,49 +131,27 @@ void ttgt_contract_acc(const DenseTensor& a, const DenseTensor& b,
   DenseTensor a_red;
   DenseTensor b_red;
   if (!g.a_only_sum.empty()) {
-    std::vector<IndexId> keep;
-    for (IndexId d : a.dims()) {
-      if (!in_group(g.a_only_sum, d)) keep.push_back(d);
-    }
-    a_red = einsum_reduce(a, keep);
+    a_red = pre_reduce(a, g.a_only_sum);
     pa = &a_red;
   }
   if (!g.b_only_sum.empty()) {
-    std::vector<IndexId> keep;
-    for (IndexId d : b.dims()) {
-      if (!in_group(g.b_only_sum, d)) keep.push_back(d);
-    }
-    b_red = einsum_reduce(b, keep);
+    b_red = pre_reduce(b, g.b_only_sum);
     pb = &b_red;
   }
 
-  // K packing order: A's layout order, shared by both operand packs.
-  std::vector<IndexId> kdims;
-  for (IndexId d : pa->dims()) {
-    if (in_group(g.k, d)) kdims.push_back(d);
-  }
+  const std::vector<IndexId> kdims = k_pack_order(*pa, g);
+  const StridedBox ap = group_box(*pa, g.batch, g.m, kdims);
+  const StridedBox bp = group_box(*pb, g.batch, kdims, g.n);
+  const StridedBox cp = group_box(c, g.batch, g.m, g.n);
 
-  const GroupPlan ap = make_group_plan(*pa, g.batch, g.m, kdims);
-  const GroupPlan bp = make_group_plan(*pb, g.batch, kdims, g.n);
-  const GroupPlan cp = make_group_plan(c, g.batch, g.m, g.n);
-
-  std::vector<double> am;
-  std::vector<double> bm;
-  pack_grouped(*pa, ap, am);
-  pack_grouped(*pb, bp, bm);
-  std::vector<double> cm(
-      checked_mul(checked_mul(g.batch_elems, g.m_elems), g.n_elems), 0.0);
-
-  const std::size_t a_slice = g.m_elems * g.k_elems;
-  const std::size_t b_slice = g.k_elems * g.n_elems;
-  const std::size_t c_slice = g.m_elems * g.n_elems;
-  for (std::uint64_t bi = 0; bi < g.batch_elems; ++bi) {
-    matmul_acc(std::span<const double>(am).subspan(bi * a_slice, a_slice),
-               std::span<const double>(bm).subspan(bi * b_slice, b_slice),
-               std::span<double>(cm).subspan(bi * c_slice, c_slice),
-               g.m_elems, g.k_elems, g.n_elems);
-  }
-  unpack_grouped_acc(cm, cp, c);
+  std::vector<double> am(ap.size());
+  std::vector<double> bm(bp.size());
+  gather_box(pa->data(), ap, am);
+  gather_box(pb->data(), bp, bm);
+  std::vector<double> cm(cp.size(), 0.0);
+  batched_matmul_acc(am, bm, cm, g.batch_elems, g.m_elems, g.k_elems,
+                     g.n_elems);
+  scatter_box_acc(cm, cp, c.data());
 
   if (obs::metrics_enabled()) {
     // Pack traffic of the lowering itself: both operand gathers plus

@@ -13,10 +13,10 @@
 /// A summed index present in only one operand is handled by
 /// pre-reducing that operand (einsum_reduce) before the lowering; K may
 /// be empty (pure outer product, GEMM with k = 1).  Operands are packed
-/// into contiguous [batch][rows][cols] buffers by a generalized
-/// PackPlan (three dimension groups instead of matmul.hpp's two), the
-/// per-batch slices go through the dispatching matmul_acc, and the
-/// result buffer is scattered back with accumulation (docs/KERNELS.md).
+/// into contiguous [batch][rows][cols] buffers by the strided box walk
+/// (tce/tensor/box.hpp), the per-batch slices go through the
+/// dispatching matmul_acc, and the result buffer is scattered back with
+/// accumulation (docs/KERNELS.md).
 
 #include "tce/expr/index.hpp"
 #include "tce/tensor/dense.hpp"
@@ -50,6 +50,16 @@ struct TtgtGroups {
 TtgtGroups classify_ttgt(const DenseTensor& a, const DenseTensor& b,
                          const std::vector<IndexId>& result_dims,
                          IndexSet sum_indices);
+
+/// \p t summed over \p sums (labels found in only this operand), the
+/// remaining labels kept in t's order: the TTGT pre-reduction.
+DenseTensor pre_reduce(const DenseTensor& t,
+                       const std::vector<IndexId>& sums);
+
+/// The K labels of \p g in \p a's layout order: the depth order that
+/// both operand packs share.
+std::vector<IndexId> k_pack_order(const DenseTensor& a,
+                                  const TtgtGroups& g);
 
 /// c[c.dims()] += Σ_sum a·b via pack → GEMM → unpack.  \p c must carry
 /// exactly the non-summed labels (the classification is derived from

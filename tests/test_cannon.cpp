@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "tce/cannon/executor.hpp"
+#include "tce/common/checked.hpp"
 #include "tce/common/error.hpp"
 #include "tce/expr/parser.hpp"
+#include "tce/obs/metrics.hpp"
+#include "tce/tensor/kernel.hpp"
+#include "tce/tensor/matmul.hpp"
 
 namespace tce {
 namespace {
@@ -222,6 +228,428 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{1, 1}, SweepCase{4, 2}, SweepCase{4, 3},
                       SweepCase{9, 4}, SweepCase{9, 5}, SweepCase{16, 6},
                       SweepCase{16, 7}, SweepCase{25, 8}));
+
+// ------------------------------------------- block-major vs step-major
+//
+// run_cannon computes block-major by block coordinate.  The functions
+// below are the step-major executor it replaced, kept as the oracle: every
+// logical processor holds real blocks, contracts them each step through
+// contract_blocks_acc, and the blocks move with each shift.  The two must
+// agree to the bit on the result, the simulated times and the peak
+// resident bytes.
+
+struct OldSplit {
+  IndexId index;
+  std::uint32_t block;
+};
+
+BlockRange old_range_for(const TensorRef& ref, const IndexSpace& space,
+                         std::uint32_t edge,
+                         const std::vector<OldSplit>& splits) {
+  BlockRange r;
+  for (IndexId d : ref.dims) {
+    const std::uint64_t n = space.extent(d);
+    const OldSplit* split = nullptr;
+    for (const auto& s : splits) {
+      if (s.index == d) split = &s;
+    }
+    if (split == nullptr) {
+      r.lo.push_back(0);
+      r.hi.push_back(n);
+    } else {
+      if (n % edge != 0) throw Error("extent must divide the grid edge");
+      const std::uint64_t chunk = n / edge;
+      r.lo.push_back(split->block * chunk);
+      r.hi.push_back((split->block + 1) * chunk);
+    }
+  }
+  return r;
+}
+
+struct OldTriple {
+  std::uint32_t bi, bj, bk;
+};
+
+OldTriple old_triple_at(const CannonChoice& c, std::uint32_t e,
+                        std::uint32_t w1, std::uint32_t w2,
+                        std::uint32_t s) {
+  const std::uint32_t moving = (w1 + w2 + s) % e;
+  if (c.rot == c.k) return {w1, w2, moving};
+  if (c.rot == c.i) return {moving, w2, w1};
+  return {w1, moving, w2};
+}
+
+CannonRunResult step_major_run_cannon(const Network& net,
+                                      const ProcGrid& grid,
+                                      const IndexSpace& space,
+                                      const ContractionNode& node,
+                                      const CannonChoice& choice,
+                                      const DenseTensor& left_full,
+                                      const DenseTensor& right_full) {
+  const std::uint32_t e = grid.edge;
+  auto phys = [&](std::uint32_t w1, std::uint32_t w2) {
+    return choice.transposed ? grid.rank(w2, w1) : grid.rank(w1, w2);
+  };
+  TensorRef a_ref{"left", left_full.dims()};
+  TensorRef b_ref{"right", right_full.dims()};
+  const TensorRef& c_ref = node.tensor;
+
+  const std::size_t np = static_cast<std::size_t>(e) * e;
+  std::vector<DenseTensor> a_blk(np), b_blk(np), c_blk(np);
+  std::vector<OldTriple> coords(np);
+  for (std::uint32_t w1 = 0; w1 < e; ++w1) {
+    for (std::uint32_t w2 = 0; w2 < e; ++w2) {
+      const OldTriple t = old_triple_at(choice, e, w1, w2, 0);
+      const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
+      coords[p] = t;
+      a_blk[p] = extract_block(
+          left_full, old_range_for(a_ref, space, e,
+                                   {{choice.i, t.bi}, {choice.k, t.bk}}));
+      b_blk[p] = extract_block(
+          right_full, old_range_for(b_ref, space, e,
+                                    {{choice.k, t.bk}, {choice.j, t.bj}}));
+      const BlockRange cr = old_range_for(
+          c_ref, space, e, {{choice.i, t.bi}, {choice.j, t.bj}});
+      std::vector<std::uint64_t> cext;
+      for (std::size_t d = 0; d < cr.rank(); ++d) {
+        cext.push_back(cr.extent(d));
+      }
+      c_blk[p] = DenseTensor(c_ref.dims, std::move(cext));
+    }
+  }
+
+  const std::uint64_t loop_total =
+      node.loop_indices().extent_product(space);
+  const std::uint64_t flops_per_block =
+      checked_mul(2, loop_total / (static_cast<std::uint64_t>(e) * e * e));
+  const bool a_rot = choice.rotates_left();
+  const bool b_rot = choice.rotates_right();
+  const bool c_rot = choice.rotates_result();
+  auto shifted = [&](std::uint32_t w1, std::uint32_t w2,
+                     int logical_dim) -> std::size_t {
+    if (logical_dim == 1) w1 = (w1 + e - 1) % e;
+    if (logical_dim == 2) w2 = (w2 + e - 1) % e;
+    return static_cast<std::size_t>(w1) * e + w2;
+  };
+
+  std::vector<Phase> phases;
+  std::uint64_t peak = 0;
+  for (std::uint32_t s = 0; s < e; ++s) {
+    Phase phase;
+    for (std::uint32_t w1 = 0; w1 < e; ++w1) {
+      for (std::uint32_t w2 = 0; w2 < e; ++w2) {
+        const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
+        contract_blocks_acc(a_blk[p], b_blk[p], node.sum_indices, c_blk[p]);
+        phase.compute.push_back({phys(w1, w2), flops_per_block});
+        std::uint64_t resident = (a_blk[p].size() + b_blk[p].size() +
+                                  c_blk[p].size()) *
+                                 sizeof(double);
+        std::uint64_t largest_moving = 0;
+        if (a_rot) largest_moving = std::max(largest_moving, a_blk[p].size());
+        if (b_rot) largest_moving = std::max(largest_moving, b_blk[p].size());
+        if (c_rot) largest_moving = std::max(largest_moving, c_blk[p].size());
+        peak = std::max(peak, resident + largest_moving * sizeof(double));
+        auto emit = [&](const DenseTensor& blk, int logical_dim) {
+          const std::size_t q = shifted(w1, w2, logical_dim);
+          const std::uint32_t src = phys(w1, w2);
+          const std::uint32_t dst =
+              phys(static_cast<std::uint32_t>(q / e),
+                   static_cast<std::uint32_t>(q % e));
+          if (src != dst) {
+            phase.flows.push_back({src, dst, blk.size() * sizeof(double)});
+          }
+        };
+        if (a_rot) emit(a_blk[p], 2);
+        if (b_rot) emit(b_blk[p], 1);
+        if (c_rot) emit(c_blk[p], choice.rot == choice.i ? 1 : 2);
+      }
+    }
+    phases.push_back(std::move(phase));
+    auto apply_shift = [&](auto& items, int logical_dim) {
+      std::remove_reference_t<decltype(items)> next(np);
+      for (std::uint32_t w1 = 0; w1 < e; ++w1) {
+        for (std::uint32_t w2 = 0; w2 < e; ++w2) {
+          const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
+          next[shifted(w1, w2, logical_dim)] = std::move(items[p]);
+        }
+      }
+      items = std::move(next);
+    };
+    if (a_rot) apply_shift(a_blk, 2);
+    if (b_rot) apply_shift(b_blk, 1);
+    if (c_rot) {
+      apply_shift(c_blk, choice.rot == choice.i ? 1 : 2);
+      apply_shift(coords, choice.rot == choice.i ? 1 : 2);
+    }
+  }
+
+  CannonRunResult out;
+  out.result = make_tensor(c_ref, space);
+  for (std::uint32_t w1 = 0; w1 < e; ++w1) {
+    for (std::uint32_t w2 = 0; w2 < e; ++w2) {
+      const std::size_t p = static_cast<std::size_t>(w1) * e + w2;
+      place_block(c_blk[p],
+                  old_range_for(c_ref, space, e,
+                                {{choice.i, coords[p].bi},
+                                 {choice.j, coords[p].bj}}),
+                  out.result);
+    }
+  }
+  out.timing = net.run_phases(phases);
+  out.peak_rank_bytes = peak;
+  return out;
+}
+
+std::vector<std::uint64_t> bits_of(const DenseTensor& t) {
+  std::vector<std::uint64_t> out;
+  for (double v : t.data()) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Asserts that both executors give the same bits for one choice.
+void expect_same_as_step_major(const Network& net, const ProcGrid& grid,
+                               const IndexSpace& space,
+                               const ContractionNode& node,
+                               const CannonChoice& choice,
+                               const DenseTensor& a, const DenseTensor& b) {
+  const CannonRunResult want =
+      step_major_run_cannon(net, grid, space, node, choice, a, b);
+  const CannonRunResult got =
+      run_cannon(net, grid, space, node, choice, a, b);
+  EXPECT_EQ(bits_of(got.result), bits_of(want.result));
+  EXPECT_EQ(got.result.dims(), want.result.dims());
+  EXPECT_EQ(got.timing.comm_s, want.timing.comm_s);
+  EXPECT_EQ(got.timing.compute_s, want.timing.compute_s);
+  EXPECT_EQ(got.peak_rank_bytes, want.peak_rank_bytes);
+}
+
+/// A P = e² grid with e ranks per node, so shifts cross both intra- and
+/// inter-node links.
+struct Machine {
+  explicit Machine(std::uint32_t e)
+      : grid(ProcGrid::make(e * e, e)), net([e] {
+          ClusterSpec spec = ClusterSpec::itanium2003(e);
+          spec.nodes = e;
+          spec.procs_per_node = e;
+          return spec;
+        }()) {}
+  ProcGrid grid;
+  Network net;
+};
+
+/// The local kernels the executor may meet: the reference loops (each
+/// step's product through a zeroed buffer), the tiled GEMM within one KC
+/// block (products accumulated directly), and the tiled GEMM over
+/// several KC blocks (through the buffer again).
+std::vector<KernelConfig> kernel_variants() {
+  KernelConfig ref;
+  ref.kind = KernelKind::kReference;
+  KernelConfig tiled;
+  tiled.kind = KernelKind::kTiled;
+  tiled.threads = 2;
+  KernelConfig tiled_short_kc = tiled;
+  tiled_short_kc.tiles.kc = 8;
+  return {ref, tiled, tiled_short_kc};
+}
+
+/// C[i1,j0,i0,j1] = Σ_{k0,k1} A[k0,i0,k1,i1] · B[j1,k1,k0,j0] with
+/// permuted layouts; i0, j0, k0 are split.  j0's extent is the grid
+/// edge, so its blocks are one element wide.
+struct PermutedContraction {
+  explicit PermutedContraction(std::uint32_t e) {
+    i0 = space.add("i0", 2 * e);
+    i1 = space.add("i1", 3);
+    j0 = space.add("j0", e);
+    j1 = space.add("j1", 2);
+    k0 = space.add("k0", 2 * e);
+    k1 = space.add("k1", 5);
+    node.kind = ContractionNode::Kind::kContraction;
+    node.tensor = TensorRef{"C", {i1, j0, i0, j1}};
+    node.sum_indices = IndexSet::of({k0, k1});
+    node.left_indices = IndexSet::of({i0, i1});
+    node.right_indices = IndexSet::of({j0, j1});
+    Rng rng(17 + e);
+    a = make_tensor(TensorRef{"A", {k0, i0, k1, i1}}, space);
+    b = make_tensor(TensorRef{"B", {j1, k1, k0, j0}}, space);
+    a.fill_random(rng);
+    b.fill_random(rng);
+  }
+  IndexSpace space;
+  IndexId i0{}, i1{}, j0{}, j1{}, k0{}, k1{};
+  ContractionNode node;
+  DenseTensor a, b;
+};
+
+std::vector<CannonChoice> every_rotation(IndexId i, IndexId j, IndexId k) {
+  std::vector<CannonChoice> out;
+  for (bool transposed : {false, true}) {
+    for (IndexId rot : {i, j, k}) {
+      CannonChoice c;
+      c.i = i;
+      c.j = j;
+      c.k = k;
+      c.transposed = transposed;
+      c.rot = rot;
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+TEST(CannonBlockMajor, MatchesStepMajorForEveryRotationAndEdge) {
+  for (const KernelConfig& cfg : kernel_variants()) {
+    const ScopedKernelConfig scoped(cfg);
+    for (std::uint32_t e : {2u, 3u, 4u}) {
+      const Machine m(e);
+      const PermutedContraction c(e);
+      for (const CannonChoice& choice : every_rotation(c.i0, c.j0, c.k0)) {
+        SCOPED_TRACE("kernel=" + std::string(kernel_kind_name(cfg.kind)) +
+                     " kc=" + std::to_string(cfg.tiles.kc) +
+                     " e=" + std::to_string(e) +
+                     " rot=" + c.space.name(choice.rot) +
+                     " transposed=" + std::to_string(choice.transposed));
+        expect_same_as_step_major(m.net, m.grid, c.space, c.node, choice,
+                                  c.a, c.b);
+      }
+    }
+  }
+}
+
+TEST(CannonBlockMajor, SplitIndicesWithBlockExtentOne) {
+  // Every split extent equals the grid edge: all blocks are one element
+  // wide along i, j and k.
+  const std::uint32_t e = 3;
+  const Machine m(e);
+  IndexSpace space;
+  const IndexId i = space.add("i", e);
+  const IndexId j = space.add("j", e);
+  const IndexId k = space.add("k", e);
+  const IndexId x = space.add("x", 4);
+  ContractionNode node;
+  node.kind = ContractionNode::Kind::kContraction;
+  node.tensor = TensorRef{"C", {j, x, i}};
+  node.sum_indices = IndexSet::single(k);
+  node.left_indices = IndexSet::of({i, x});
+  node.right_indices = IndexSet::single(j);
+  Rng rng(29);
+  DenseTensor a = make_tensor(TensorRef{"A", {x, k, i}}, space);
+  DenseTensor b = make_tensor(TensorRef{"B", {k, j}}, space);
+  a.fill_random(rng);
+  b.fill_random(rng);
+  for (const KernelConfig& cfg : kernel_variants()) {
+    const ScopedKernelConfig scoped(cfg);
+    for (const CannonChoice& choice : every_rotation(i, j, k)) {
+      expect_same_as_step_major(m.net, m.grid, space, node, choice, a, b);
+    }
+  }
+}
+
+/// C[i,j] = Σ_{k,s} A[s,i,k] · B[k,j] (or with s in B): s is summed but
+/// found in one operand only, so that operand is pre-reduced over it.
+struct OneOperandSum {
+  explicit OneOperandSum(bool s_in_left) {
+    i = space.add("i", 4);
+    j = space.add("j", 6);
+    k = space.add("k", 4);
+    s = space.add("s", 3);
+    node.kind = ContractionNode::Kind::kContraction;
+    node.tensor = TensorRef{"C", {i, j}};
+    node.sum_indices = IndexSet::of({k, s});
+    node.left_indices = IndexSet::single(i);
+    node.right_indices = IndexSet::single(j);
+    Rng rng(s_in_left ? 31 : 37);
+    a = make_tensor(TensorRef{"A", s_in_left ? std::vector<IndexId>{s, i, k}
+                                             : std::vector<IndexId>{i, k}},
+                    space);
+    b = make_tensor(TensorRef{"B", s_in_left ? std::vector<IndexId>{k, j}
+                                             : std::vector<IndexId>{k, s, j}},
+                    space);
+    a.fill_random(rng);
+    b.fill_random(rng);
+  }
+  IndexSpace space;
+  IndexId i{}, j{}, k{}, s{};
+  ContractionNode node;
+  DenseTensor a, b;
+};
+
+TEST(CannonBlockMajor, OneOperandSumIsPreReducedExactly) {
+  const Machine m(2);
+  for (bool s_in_left : {true, false}) {
+    const OneOperandSum c(s_in_left);
+    for (const KernelConfig& cfg : kernel_variants()) {
+      const ScopedKernelConfig scoped(cfg);
+      for (const CannonChoice& choice : every_rotation(c.i, c.j, c.k)) {
+        SCOPED_TRACE("s_in_left=" + std::to_string(s_in_left) +
+                     " rot=" + c.space.name(choice.rot));
+        expect_same_as_step_major(m.net, m.grid, c.space, c.node, choice,
+                                  c.a, c.b);
+      }
+    }
+    // The one-operand index cannot be the triplet's k: it is found in
+    // one operand only, so it cannot be split across both.
+    CannonChoice bad = every_rotation(c.i, c.j, c.s).front();
+    EXPECT_THROW(
+        run_cannon(m.net, m.grid, c.space, c.node, bad, c.a, c.b), Error);
+  }
+}
+
+TEST_F(CannonFixture, WholeTreeMatchesStepMajorChain) {
+  // run_tree reads the inputs in place and chains run_cannon; chaining
+  // the step-major oracle over the same default choices must give the
+  // same bits and the same summed times.
+  std::map<NodeId, DenseTensor> values;
+  PhaseResult want_timing;
+  for (NodeId id : tree_.post_order()) {
+    const ContractionNode& n = tree_.node(id);
+    if (n.kind == ContractionNode::Kind::kInput) {
+      values.emplace(id, inputs_.at(n.tensor.name));
+      continue;
+    }
+    CannonChoice choice;
+    for (const auto& c : enumerate_cannon_choices(n)) {
+      if (c.i != kNoIndex && c.j != kNoIndex && c.k != kNoIndex) {
+        choice = c;
+        break;
+      }
+    }
+    CannonRunResult r = step_major_run_cannon(
+        net_, grid_, tree_.space(), n, choice, values.at(n.left),
+        values.at(n.right));
+    want_timing.comm_s += r.timing.comm_s;
+    want_timing.compute_s += r.timing.compute_s;
+    values.erase(n.left);
+    values.erase(n.right);
+    values.emplace(id, std::move(r.result));
+  }
+  const TreeRunResult got =
+      run_tree(net_, grid_, tree_, std::map<NodeId, CannonChoice>{}, inputs_);
+  EXPECT_EQ(bits_of(got.result), bits_of(values.at(tree_.root())));
+  EXPECT_EQ(got.timing.comm_s, want_timing.comm_s);
+  EXPECT_EQ(got.timing.compute_s, want_timing.compute_s);
+}
+
+TEST(CannonBlockMajor, PackBytesCountTheExecutorsLayoutTraffic) {
+  // C[i,j] = Σ_k A[i,k]·B[k,j], all extents 4, P = 4 (e = 2), reference
+  // kernel (which packs nothing itself).  The executor gathers A and B
+  // once (16 + 16 doubles), forms each of the e = 2 steps' products of
+  // each result block in a zeroed buffer and adds it (2 · 2 · 16 over
+  // the four blocks) and scatters C once (16): 112 doubles, 896 bytes.
+  const ScopedKernelConfig scoped(KernelKind::kReference);
+  const Machine m(2);
+  FormulaSequence seq = parse_formula_sequence(
+      "index i, j, k = 4\nC[i,j] = sum[k] A[i,k] * B[k,j]");
+  ContractionTree t = ContractionTree::from_sequence(seq);
+  Rng rng(41);
+  auto ins = make_random_inputs(t, rng);
+  const ContractionNode& n = t.node(t.root());
+  const CannonChoice choice = enumerate_cannon_choices(n).front();
+  const obs::ScopedMetrics metrics;
+  run_cannon(m.net, m.grid, t.space(), n, choice, ins.at("A"), ins.at("B"));
+  const auto snap = obs::metrics_snapshot();
+  ASSERT_TRUE(snap.contains("kernel.pack_bytes"));
+  EXPECT_EQ(snap.at("kernel.pack_bytes").total, 896u);
+}
 
 }  // namespace
 }  // namespace tce

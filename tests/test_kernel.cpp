@@ -105,6 +105,41 @@ TEST(Gemm, BitwiseDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(Gemm, AddsOnceMeansDirectAccumulationMatchesAStepBuffer) {
+  // Where matmul_acc_adds_once holds, accumulating several products
+  // straight into C gives the bits of forming each one in a zeroed
+  // buffer and adding that buffer to C — what the Cannon executor relies
+  // on to skip the buffer.  Shapes cover full and edge micro-tiles.
+  KernelConfig cfg;
+  cfg.kind = KernelKind::kTiled;
+  cfg.threads = 2;
+  const ScopedKernelConfig scoped(cfg);
+  const std::size_t shapes[][3] = {{8, 8, 6}, {37, 61, 29}, {120, 8, 90}};
+  for (const auto& s : shapes) {
+    const std::size_t m = s[0], k = s[1], n = s[2];
+    ASSERT_TRUE(matmul_acc_adds_once(m, k, n));
+    std::vector<double> direct(m * n, 0.0);
+    std::vector<double> buffered(m * n, 0.0);
+    for (std::uint64_t step = 0; step < 4; ++step) {
+      const std::vector<double> a = random_vec(m * k, 10 + step);
+      const std::vector<double> b = random_vec(k * n, 20 + step);
+      matmul_acc(a, b, direct, m, k, n);
+      std::vector<double> product(m * n, 0.0);
+      matmul_acc(a, b, product, m, k, n);
+      for (std::size_t x = 0; x < product.size(); ++x) {
+        buffered[x] += product[x];
+      }
+    }
+    for (std::size_t x = 0; x < direct.size(); ++x) {
+      ASSERT_EQ(direct[x], buffered[x]) << m << "x" << k << "x" << n;
+    }
+  }
+  // Depth past one KC block, or the reference loops, add per k step.
+  EXPECT_FALSE(matmul_acc_adds_once(8, cfg.tiles.kc + 1, 8));
+  const ScopedKernelConfig ref(KernelKind::kReference);
+  EXPECT_FALSE(matmul_acc_adds_once(8, 8, 8));
+}
+
 TEST(Kernel, SelectKernelResolvesAuto) {
   EXPECT_EQ(select_kernel(KernelKind::kAuto, kAutoCutoffElems - 1),
             KernelKind::kReference);

@@ -6,6 +6,7 @@
 #include "tce/common/error.hpp"
 #include "tce/expr/parser.hpp"
 #include "tce/tensor/block.hpp"
+#include "tce/tensor/box.hpp"
 #include "tce/tensor/einsum.hpp"
 #include "tce/tensor/matmul.hpp"
 
@@ -225,17 +226,91 @@ TEST(Matmul, BatchLabelsContractPerSlice) {
 }
 
 TEST(Matmul, PackUnpackRoundTrip) {
+  // Pack t into a (label 7) × (labels 9, 3) matrix with the strided box
+  // walk and scatter it back.
   Rng rng(5);
   DenseTensor t({3, 7, 9}, {2, 3, 4});
   t.fill_random(rng);
-  std::vector<double> m;
-  std::uint64_t rows = 0, cols = 0;
-  pack_matrix(t, {7}, {9, 3}, m, rows, cols);
+  StridedBox box;
+  for (IndexId id : {7, 9, 3}) {
+    box.push(t.stride(t.pos_of(id)), 0, t.extent_of(id));
+  }
+  const std::uint64_t rows = box.lens[0];
+  const std::uint64_t cols = box.lens[1] * box.lens[2];
   EXPECT_EQ(rows, 3u);
   EXPECT_EQ(cols, 8u);
+  std::vector<double> m(box.size());
+  gather_box(t.data(), box, m);
   DenseTensor u({3, 7, 9}, {2, 3, 4});
-  unpack_matrix_acc(m, {7}, {9, 3}, u);
+  scatter_box_acc(m, box, u.data());
   EXPECT_LT(t.max_abs_diff(u), 1e-15);
+}
+
+// -------------------------------------------------------------- Box walk
+
+TEST(Box, GathersASubBoxInPermutedOrder) {
+  // The sub-box [1,3) × [0,4) × [2,5) of a {3,4,6} tensor, walked with
+  // the last dimension outermost: element order must follow the walk.
+  Rng rng(8);
+  DenseTensor t({0, 1, 2}, {3, 4, 6});
+  t.fill_random(rng);
+  StridedBox box;
+  box.push(t.stride(2), 2, 3);
+  box.push(t.stride(0), 1, 2);
+  box.push(t.stride(1), 0, 4);
+  ASSERT_EQ(box.size(), 24u);
+  std::vector<double> out(box.size());
+  gather_box(t.data(), box, out);
+  std::size_t flat = 0;
+  for (std::uint64_t z = 2; z < 5; ++z) {
+    for (std::uint64_t x = 1; x < 3; ++x) {
+      for (std::uint64_t y = 0; y < 4; ++y) {
+        EXPECT_EQ(out[flat++], t.at(std::vector<std::uint64_t>{x, y, z}));
+      }
+    }
+  }
+
+  // Scattering back writes exactly the box; accumulating adds to it.
+  DenseTensor u({0, 1, 2}, {3, 4, 6});
+  scatter_box(out, box, u.data());
+  scatter_box_acc(out, box, u.data());
+  for (std::uint64_t x = 0; x < 3; ++x) {
+    for (std::uint64_t y = 0; y < 4; ++y) {
+      for (std::uint64_t z = 0; z < 6; ++z) {
+        const std::vector<std::uint64_t> idx{x, y, z};
+        const bool inside = x >= 1 && x < 3 && z >= 2 && z < 5;
+        EXPECT_EQ(u.at(idx), inside ? 2 * t.at(idx) : 0.0);
+      }
+    }
+  }
+}
+
+TEST(Box, ContiguousTrailingLoopsAndRankZero) {
+  // A box of whole trailing dimensions is one contiguous run; a rank-0
+  // box is the single element at its base.
+  DenseTensor t({0, 1, 2}, {2, 3, 4});
+  for (std::size_t x = 0; x < t.size(); ++x) {
+    t.data()[x] = static_cast<double>(x);
+  }
+  StridedBox box;
+  box.push(t.stride(0), 1, 1);
+  box.push(t.stride(1), 0, 3);
+  box.push(t.stride(2), 0, 4);
+  std::vector<double> out(box.size());
+  gather_box(t.data(), box, out);
+  for (std::size_t x = 0; x < out.size(); ++x) {
+    EXPECT_EQ(out[x], static_cast<double>(12 + x));
+  }
+  StridedBox point;
+  point.base = 7;
+  std::vector<double> one(1);
+  gather_box(t.data(), point, one);
+  EXPECT_EQ(one[0], 7.0);
+  // A box that reaches past the tensor is a contract violation.
+  StridedBox past;
+  past.push(t.stride(0), 1, 2);
+  std::vector<double> two(2);
+  EXPECT_THROW(gather_box(t.data(), past, two), ContractViolation);
 }
 
 // ------------------------------------------------------------------ Blocks
